@@ -9,8 +9,8 @@ from .errors import (ChainBroken, DegenerateShape, DegenerateWeights, Diverged,
                      ExpansionIllConditioned, FormationError, GraphDisconnected,
                      InfeasibleRow, NonDiagonalizable, NotConverged,
                      PipelineFailed, ScenarioError, SingularGain,
-                     SpectrumMismatch, StabilizationFailed, ZeroEdgeVector,
-                     ZeroState)
+                     SpectrumMismatch, StabilizationFailed, StepUnstable,
+                     ZeroEdgeVector, ZeroState)
 from .graphs import (FormationGraph, TwoRootedReport, incidence_matrix,
                      is_connected, is_two_rooted)
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,

@@ -1,7 +1,7 @@
 """Command-line interface: design, simulate and verify scenario files.
 
-Exit codes: 0 ok, 1 infeasible design, 2 parse error, 3 diverged,
-4 verification failure.
+Exit codes: 0 ok, 1 infeasible design, 2 parse error or outputs that two
+scenario files would share, 3 diverged, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from .scenarios import Scenario, load_scenario, simulate_scenario
 from .shapes import build_laplacian, stabilize_gains, synthesize_weights
 from .sim import (Trajectory, initial_condition, measure_motion,
                   shape_error_series)
-from .spectral import (DesignResult, design_pipeline, predict_steady_state,
-                       stability_bound, verify_motion_spectrum,
-                       verify_translation_jordan)
+from .spectral import (SPECTRUM_REL, DesignResult, design_pipeline,
+                       predict_steady_state, stability_bound,
+                       verify_motion_spectrum, verify_translation_jordan)
 
 SCHEMA_VERSION = 1
 TOLERANCES = {
     "kernel_sv_rel": 1e-10,
     "rank_gap_sv_rel": 1e-6,
-    "spectrum_rel": 1e-8,
+    "spectrum_rel": SPECTRUM_REL,
     "jordan_rel": 1e-10,
     "lyapunov_residual": 1e-10,
 }
@@ -110,14 +110,11 @@ def write_report(report: dict, path: Path) -> None:
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     n = traj.n
     header = "t," + ",".join(f"x_{i},y_{i}" for i in range(1, n + 1))
-    lines = [header]
-    for t, row in zip(traj.times, traj.states):
-        cells = [f"{t:.17g}"]
-        for z in row:
-            cells.append(f"{z.real:.17g}")
-            cells.append(f"{z.imag:.17g}")
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.empty((traj.times.size, 2 * n + 1))
+    table[:, 0] = traj.times
+    table[:, 1::2] = traj.states.real
+    table[:, 2::2] = traj.states.imag
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _load(path: str, seed) -> Scenario:
@@ -179,6 +176,25 @@ def cmd_verify(path: str, out: Path, seed) -> int:
     return EXIT_OK
 
 
+def _shared_output(command: str, paths: list, out: Path) -> Path | None:
+    """An output file that two of the scenario files would both write."""
+    if command == "verify" or len(paths) < 2:
+        return None
+    seen: set = set()
+    for path in paths:
+        try:
+            sc = load_scenario(path)
+        except ScenarioError:
+            continue  # reported by its own task
+        names = {out / sc.report_name}
+        if command == "simulate":
+            names.add(out / sc.trajectory_name)
+        if names & seen:
+            return min(names & seen)
+        seen |= names
+    return None
+
+
 def _run_one(args) -> int:
     cmd, path, out, seed = args
     handler = {"design": cmd_design, "simulate": cmd_simulate,
@@ -224,6 +240,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = Path(args.out)
+    shared = _shared_output(args.command, args.scenario, out)
+    if shared is not None:
+        print(f"output collision: several scenario files would write {shared}; "
+              "give each its own output names or run them separately", file=sys.stderr)
+        return EXIT_PARSE
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(args.command, path, out, args.seed) for path in args.scenario]
     if args.jobs > 1 and len(tasks) > 1:

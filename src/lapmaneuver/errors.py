@@ -53,6 +53,11 @@ class Diverged(FormationError):
     """Simulated state norm exceeded the divergence threshold."""
 
 
+class StepUnstable(Diverged):
+    """The RK4 step size puts a decaying closed-loop mode outside the
+    method's stability region."""
+
+
 class ZeroState(FormationError):
     """Shape error undefined for the zero configuration."""
 

@@ -1,20 +1,27 @@
 """Closed-loop integration of p' = -K L~ p and trajectory metrics.
 
-Two integration paths: a fixed-step 4th-order Runge-Kutta scheme, and an
-exact propagator built from the matrix exponential (affine-augmented per
-heading-control segment). The exact path doubles as the validation oracle.
+The loop is linear; heading control adds an affine term, constant while a
+setpoint holds. Per such segment a step is one matrix S on [p; 1]: the RK4
+polynomial R(dt X) (`integrate`) or expm(dt X) (`exact_trajectory`, the
+oracle). One loop applies S by a table of its powers, one product per chunk
+of steps, and checks every step for divergence. `integrate` first raises
+StepUnstable, naming the largest stable dt, for a step outside RK4's region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import Diverged, NotConverged, ZeroState
+from .errors import Diverged, NotConverged, StepUnstable, ZeroState
 from .shapes import ReferenceShape
+from .spectral import SPECTRUM_REL
+
+_TABLE_BYTES = 256 * 1024  # bound on one segment's table of step-map powers
+_RK4 = (1 / 24, 1 / 6, 1 / 2, 1, 1)  # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
 
 
 @dataclass(frozen=True)
@@ -36,24 +43,13 @@ class HeadingControl:
         if not self.schedule:
             raise ValueError("heading schedule is empty")
 
-    def setpoint_at(self, t: float) -> complex:
-        for until, z in self.schedule:
-            if t < until:
-                return z
-        return self.schedule[-1][1]
+    def _entry_at(self, t):
+        """Schedule index in force at t (or each t): first `until` > t, else last."""
+        untils = np.maximum.accumulate([until for until, _ in self.schedule])
+        return np.minimum(np.searchsorted(untils, t, side="right"), len(self.schedule) - 1)
 
-    def boundaries(self, t_end: float) -> list[tuple[float, float, complex]]:
-        """Segments (t0, t1, setpoint) covering [0, t_end]."""
-        segs = []
-        t0 = 0.0
-        for until, z in self.schedule:
-            t1 = min(until, t_end)
-            if t1 > t0:
-                segs.append((t0, t1, z))
-                t0 = t1
-        if t0 < t_end:
-            segs.append((t0, t_end, self.schedule[-1][1]))
-        return segs
+    def setpoint_at(self, t: float) -> complex:
+        return self.schedule[self._entry_at(t)][1]
 
 
 @dataclass(frozen=True)
@@ -111,79 +107,83 @@ def integrate(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     """Fixed-step RK4 integration of p' = -K L~ p plus the heading term.
 
     The heading setpoint is sampled once per step (zero-order hold), so
-    steps never straddle two schedule segments.
+    steps never straddle two schedule segments. Raises StepUnstable before
+    stepping if dt puts a decaying mode outside RK4's stability region.
     """
-    A = -np.diag(gains) @ L_tilde
-    p = initial_condition(cfg, shape)
-    h = cfg.heading
-
-    def f(x, setpoint):
-        out = A @ x
-        if h is not None:
-            z = x[h.agent - 1] - x[h.neighbor - 1]
-            out[h.agent - 1] -= h.gain * (z - setpoint)
-        return out
-
-    steps = int(round(cfg.t_end / cfg.dt))
-    times = [0.0]
-    samples = [p.copy()]
-    dt = cfg.dt
-    for k in range(steps):
-        t = k * dt
-        zs = h.setpoint_at(t) if h is not None else 0j
-        k1 = f(p, zs)
-        k2 = f(p + dt / 2 * k1, zs)
-        k3 = f(p + dt / 2 * k2, zs)
-        k4 = f(p + dt * k3, zs)
-        p = p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(p.view(float))) \
-                or np.abs(p).max() > cfg.divergence_threshold:
-            raise Diverged(f"state norm exceeded threshold at t={t + dt:.3f}")
-        if (k + 1) % cfg.sample_stride == 0 or k == steps - 1:
-            times.append((k + 1) * dt)
-            samples.append(p.copy())
-    return Trajectory(np.array(times), np.array(samples))
+    return _run(L_tilde, gains, cfg, shape, _rk4_step)
 
 
 def exact_trajectory(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                      shape: ReferenceShape) -> Trajectory:
-    """Exact solution sampled on the same grid as `integrate`.
+    """Exact solution on the same grid and setpoint segments as `integrate`."""
+    return _run(L_tilde, gains, cfg, shape, lambda X, dt: expm(X * dt))
 
-    Homogeneous runs step with expm(A dt); heading-control runs use the
-    affine-augmented exponential per constant-setpoint segment.
-    """
-    n = L_tilde.shape[0]
-    A = -np.diag(gains) @ L_tilde
-    p = initial_condition(cfg, shape)
-    steps = int(round(cfg.t_end / cfg.dt))
-    dt = cfg.dt
 
-    if cfg.heading is None:
-        segs = [(0.0, cfg.t_end, None)]
-    else:
-        segs = cfg.heading.boundaries(cfg.t_end)
+def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
+    """R(dt X), once every decaying mode of the n x n block (Re below
+    -SPECTRUM_REL times the spectral radius) lies in RK4's stability region."""
+    lam = np.linalg.eigvals(X[:-1, :-1])
+    lam = lam[lam.real < -SPECTRUM_REL * np.abs(lam).max(initial=0.0)]
+    bad = lam[np.abs(np.polyval(_RK4, dt * lam)) >= 1]
+    if bad.size:
+        lo, hi = np.zeros(bad.size), np.full(bad.size, dt)
+        for _ in range(60):  # bisect each offending ray for its stable dt
+            mid = (lo + hi) / 2
+            stable = np.abs(np.polyval(_RK4, mid * bad)) < 1
+            lo, hi = np.where(stable, mid, lo), np.where(stable, hi, mid)
+        raise StepUnstable(
+            f"RK4 step dt={dt:g} is unstable for the closed-loop mode "
+            f"{bad[np.argmin(lo)]:.4g}; the largest stable dt is about {lo.min():.3g}")
+    Z = dt * X
+    eye = np.eye(len(Z))
+    return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4) / 3) / 2)
 
-    times = [0.0]
-    samples = [p.copy()]
-    k = 0
-    for t0, t1, z in segs:
-        X = np.zeros((n + 1, n + 1), dtype=complex)
-        X[:n, :n] = A
-        if z is not None:
-            h = cfg.heading
-            X[h.agent - 1, h.agent - 1] -= h.gain
-            X[h.agent - 1, h.neighbor - 1] += h.gain
-            X[h.agent - 1, n] = h.gain * z
-        Phi = expm(X * dt)
-        F, b = Phi[:n, :n], Phi[:n, n]
-        nseg = int(round((t1 - t0) / dt))
-        for _ in range(nseg):
-            p = F @ p + b
-            k += 1
-            if (k % cfg.sample_stride == 0) or k == steps:
-                times.append(k * dt)
-                samples.append(p.copy())
-    return Trajectory(np.array(times), np.array(samples))
+
+def _power_table(S: np.ndarray, steps: int) -> np.ndarray:
+    """[S, ..., S^m], m <= steps in _TABLE_BYTES, cut before an overflowed power."""
+    m = max(1, min(steps, _TABLE_BYTES // S.nbytes))
+    table = np.empty((m,) + S.shape, dtype=complex)
+    table[0] = S
+    for j in range(1, m):
+        np.matmul(table[j - 1], S, out=table[j])
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=(1, 2)))
+    return table[:max(1, bad[0])] if bad.size else table
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite states raise Diverged
+def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
+         shape: ReferenceShape, step_map) -> Trajectory:
+    """Step [p; 1] by S = step_map(X, dt), one S per setpoint segment."""
+    n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
+    steps = int(round(cfg.t_end / dt))
+    X = np.zeros((n + 1, n + 1), dtype=complex)
+    X[:n, :n] = -np.diag(gains) @ L_tilde
+    seg = np.zeros(steps, dtype=int)  # schedule entry in force at each step
+    if h is not None:
+        X[h.agent - 1, h.agent - 1] -= h.gain
+        X[h.agent - 1, h.neighbor - 1] += h.gain
+        seg = h._entry_at(np.arange(steps) * dt)  # zero-order hold at k dt
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    keep = np.union1d(np.arange(0, steps, cfg.sample_stride), steps)  # sampled steps
+    samples = np.empty((keep.size, n), dtype=complex)
+    x = np.append(initial_condition(cfg, shape), 1.0)
+    samples[0] = x[:n]
+    for k0, k1 in zip(starts, np.append(starts[1:], steps)):
+        if h is not None:
+            X[h.agent - 1, n] = h.gain * h.schedule[seg[k0]][1]
+        table = _power_table(step_map(X, dt), k1 - k0)
+        for k in range(k0, k1, len(table)):
+            c = min(len(table), k1 - k)
+            states = (table[:c].reshape(-1, n + 1) @ x).reshape(c, n + 1)
+            p = states[:, :n]
+            bad = ~np.isfinite(p).all(1) | (np.abs(p).max(1) > cfg.divergence_threshold)
+            if bad.any():
+                raise Diverged("state norm exceeded threshold at "
+                               f"t={(k + 1 + np.argmax(bad)) * dt:.3f}")
+            i0, i1 = np.searchsorted(keep, (k, k + c), side="right")
+            samples[i0:i1] = p[keep[i0:i1] - k - 1]
+            x = states[-1]
+    return Trajectory(keep * dt, samples)
 
 
 def shape_projector(shape: ReferenceShape) -> np.ndarray:

@@ -23,6 +23,8 @@ from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
 from .shapes import (LaplacianBundle, ReferenceShape, build_laplacian,
                      stabilize_gains, synthesize_weights)
 
+SPECTRUM_REL = 1e-8  # eigenvalue placement, relative to the spectral radius
+
 
 def _sin_angle(v: np.ndarray, u: np.ndarray) -> float:
     """Sine of the subspace angle between the lines spanned by v and u."""
@@ -48,7 +50,7 @@ class SpectralReport:
 
 def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
                            spec: MotionSpec, shape: ReferenceShape,
-                           tol: float = 1e-8) -> SpectralReport:
+                           tol: float = SPECTRUM_REL) -> SpectralReport:
     """Check that K L~ has the relocated eigenvalue, the preserved shape
     eigenvector, the kernel vector 1, and a right-half-plane remainder.
 

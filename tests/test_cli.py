@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from lapmaneuver import SpectrumMismatch, builtin_scenario
-from lapmaneuver.cli import main
+from lapmaneuver import SpectrumMismatch, Trajectory, builtin_scenario, run_scenario
+from lapmaneuver.cli import main, write_trajectory_csv
 
 
 def _write(tmp_path, name, overrides=None, fname="scenario.json"):
@@ -86,7 +87,9 @@ def test_divergence_exit_3(tmp_path, capsys):
                   {"motion": {"kappa_tilde": 1e4}, "sim": {"t_end": 50.0}})
     code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 3
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "diverged" in err
+    assert "largest stable dt" in err  # refused before stepping
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -157,3 +160,51 @@ def test_parallel_jobs(tmp_path):
                  "--out", str(tmp_path), "--jobs", "2"])
     assert code == 0
     assert (tmp_path / "a.json").exists() and (tmp_path / "b.json").exists()
+
+
+def _per_cell_csv(traj, path):
+    """The writer that formatted and appended one cell at a time."""
+    n = traj.n
+    header = "t," + ",".join(f"x_{i},y_{i}" for i in range(1, n + 1))
+    lines = [header]
+    for t, row in zip(traj.times, traj.states):
+        cells = [f"{t:.17g}"]
+        for z in row:
+            cells.append(f"{z.real:.17g}")
+            cells.append(f"{z.imag:.17g}")
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_csv_rows_match_per_cell_writer(tmp_path):
+    states = np.array([[-0.0, 1e300], [0.1, -1e-300], [np.pi, 1 / 3]], dtype=complex)
+    states.imag = [[1e-300, -0.0], [0.2, -1e300], [-np.e, 2 / 3]]
+    special = Trajectory(np.array([0.0, 1e-300, 1e300]), states)
+    simulated = run_scenario("traveling_heading", FAST).trajectory
+    for traj in (special, simulated):
+        write_trajectory_csv(traj, tmp_path / "rows.csv")
+        _per_cell_csv(traj, tmp_path / "cells.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    write_trajectory_csv(special, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_text().splitlines()[1] \
+        == "0,-0,1e-300,1.0000000000000001e+300,-0"
+
+
+def test_colliding_outputs_refused(tmp_path, capsys):
+    a = _write(tmp_path, "enclosing", FAST, fname="a.json")
+    b = _write(tmp_path, "spiral_outward", FAST, fname="b.json")
+    out = tmp_path / "o"
+    code = main(["simulate", "--scenario", str(a), "--scenario", str(b),
+                 "--out", str(out)])
+    assert code == 2
+    assert str(out / "report.json") in capsys.readouterr().err
+    assert not out.exists()
+    # distinct output names run as before
+    b = _write(tmp_path, "spiral_outward",
+               {"output": {"report": "b.json", "trajectory": "b.csv"}, **FAST},
+               fname="b.json")
+    code = main(["simulate", "--scenario", str(a), "--scenario", str(b),
+                 "--out", str(out)])
+    assert code == 0
+    assert {f.name for f in out.iterdir()} == {"report.json", "trajectory.csv",
+                                               "b.json", "b.csv"}

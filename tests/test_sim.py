@@ -1,17 +1,92 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lapmaneuver import (Diverged, HeadingControl, MotionSpec, NotConverged,
-                         SimConfig, ZeroState, design_pipeline,
-                         exact_trajectory, initial_condition, integrate,
-                         measure_motion, shape_error, shape_error_series)
+from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
+                         NotConverged, SimConfig, StepUnstable, Trajectory,
+                         ZeroState, builtin_scenario, center_shape,
+                         design_pipeline, exact_trajectory, initial_condition,
+                         integrate, measure_motion, scenario_from_dict,
+                         shape_error, shape_error_series)
 
 from conftest import square_graph, square_shape
 
 
 def _design(spec, seed=0):
     return design_pipeline(square_graph(), square_shape(), spec, seed=seed)
+
+
+def _per_step_reference(L_tilde, gains, cfg, shape, exact=False):
+    """One Python step at a time: the RK4 loop the step-map simulator
+    replaced, or (exact=True) expm of each step's own affine system.
+    Step k holds the first setpoint whose `until` exceeds k dt."""
+    n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
+    A = -np.diag(gains) @ L_tilde
+    p = initial_condition(cfg, shape)
+
+    def f(x, setpoint):
+        out = A @ x
+        if h is not None:
+            z = x[h.agent - 1] - x[h.neighbor - 1]
+            out[h.agent - 1] -= h.gain * (z - setpoint)
+        return out
+
+    def expm_step(x, setpoint):
+        X = np.zeros((n + 1, n + 1), dtype=complex)
+        X[:n, :n] = A
+        if h is not None:
+            X[h.agent - 1, h.agent - 1] -= h.gain
+            X[h.agent - 1, h.neighbor - 1] += h.gain
+            X[h.agent - 1, n] = h.gain * setpoint
+        return (scipy.linalg.expm(X * dt) @ np.append(x, 1.0))[:n]
+
+    def setpoint(t):
+        for until, z in h.schedule:
+            if t < until:
+                return z
+        return h.schedule[-1][1]
+
+    steps = int(round(cfg.t_end / cfg.dt))
+    times = [0.0]
+    samples = [p.copy()]
+    for k in range(steps):
+        t = k * dt
+        zs = setpoint(t) if h is not None else 0j
+        if exact:
+            p = expm_step(p, zs)
+        else:
+            k1 = f(p, zs)
+            k2 = f(p + dt / 2 * k1, zs)
+            k3 = f(p + dt / 2 * k2, zs)
+            k4 = f(p + dt * k3, zs)
+            p = p + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(p.view(float))) \
+                or np.abs(p).max() > cfg.divergence_threshold:
+            raise Diverged(f"state norm exceeded threshold at t={t + dt:.3f}")
+        if (k + 1) % cfg.sample_stride == 0 or k == steps - 1:
+            times.append((k + 1) * dt)
+            samples.append(p.copy())
+    return Trajectory(np.array(times), np.array(samples))
+
+
+def _assert_same_run(traj, ref, rel=1e-10):
+    assert np.array_equal(traj.times, ref.times)
+    assert traj.states.shape == ref.states.shape
+    scale = np.abs(ref.states).max()
+    assert np.abs(traj.states - ref.states).max() <= rel * scale
+
+
+def _square_translation_heading(schedule, **sim):
+    d = _design(MotionSpec(v_star=1.0, kappa_t=0.05))
+    z0 = square_shape().edge_vector(1, 2)
+    heading = HeadingControl(agent=1, neighbor=2, gain=1.0,
+                             schedule=tuple((u, z0 * w) for u, w in schedule))
+    return d, SimConfig(dt=0.01, seed=2, heading=heading, **sim)
 
 
 def test_zero_dynamics_constant(square):
@@ -159,3 +234,123 @@ def test_measure_requires_steady_state(square):
     traj = exact_trajectory(d.modified.L_tilde, d.bundle.gains, cfg, shape)
     with pytest.raises(NotConverged):
         measure_motion(traj, shape, traj.window(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_step_maps_match_per_step_rk4_on_builtins(name):
+    sc = scenario_from_dict(builtin_scenario(name, {"sim": {"t_end": 20.0}}))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    args = (d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape)
+    _assert_same_run(integrate(*args), _per_step_reference(*args))
+
+
+def test_step_maps_match_per_step_loops_off_grid_heading():
+    # 57 * 0.01 is the float product k dt itself, one ulp above 0.57
+    d, cfg = _square_translation_heading(
+        ((0.025, 1), (57 * 0.01, 1j), (1.005, -1), (1.5, 1)), t_end=2.0, sample_stride=7)
+    args = (d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
+    _assert_same_run(integrate(*args), _per_step_reference(*args))
+    _assert_same_run(exact_trajectory(*args), _per_step_reference(*args, exact=True))
+
+
+def _transient_run():
+    # non-normal decay: |p_1| peaks near 2.5e5 at t = ln 2, then falls off
+    cfg = SimConfig(dt=0.01, t_end=20.0, p0=np.array([0, 1], dtype=complex),
+                    divergence_threshold=1e5, sample_stride=500)
+    L_tilde = -np.array([[-1, 1e6], [0, -2]], dtype=complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
+def _growing_run():
+    d = _design(MotionSpec())
+    cfg = SimConfig(dt=0.01, t_end=100.0, seed=1, divergence_threshold=1e3)
+    return -d.modified.L_tilde, d.bundle.gains, cfg, square_shape()
+
+
+@pytest.mark.parametrize("make", [_growing_run, _transient_run])
+def test_step_maps_diverge_at_the_same_step(make):
+    args = make()
+    with pytest.raises(Diverged) as ref:
+        _per_step_reference(*args)
+    with pytest.raises(Diverged) as new:
+        integrate(*args)
+    assert str(new.value) == str(ref.value)
+
+
+def test_exact_keeps_the_grid_on_off_grid_boundary():
+    # a boundary between grid points used to shorten the exact run by a step
+    d, cfg = _square_translation_heading(((0.025, 1), (10.0, 1j)), t_end=0.05)
+    args = (d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
+    rk, ex = integrate(*args), exact_trajectory(*args)
+    assert ex.times.size == rk.times.size == 6
+    assert ex.times[-1] == rk.times[-1] == 0.05
+
+
+def test_exact_switches_setpoint_on_the_rk4_step():
+    # until = 1.005 lies between steps 100 and 101: both switch after t = 1.00
+    d, cfg = _square_translation_heading(((1.005, 1), (10.0, 1j)), t_end=2.0)
+    args = (d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
+    rk, ex = integrate(*args), exact_trajectory(*args)
+    assert np.abs(rk.states - ex.states).max() / np.abs(ex.states).max() < 1e-6
+
+
+def test_unstable_rk4_step_refused_before_stepping(square):
+    _, shape = square
+    d = _design(MotionSpec(omega=1.0, kappa_r=0.025))
+    gains = d.bundle.gains * 100  # spectral radius of K L~ about 376
+    cfg = SimConfig(dt=0.01, t_end=1.0, seed=1)
+    with pytest.raises(StepUnstable) as err:
+        integrate(d.modified.L_tilde, gains, cfg, shape)
+    assert isinstance(err.value, Diverged)
+    # the fastest mode, about -270 - 261i, bounds dt on its ray
+    dt_max = float(re.search(r"largest stable dt is about ([0-9.e-]+)",
+                             str(err.value)).group(1))
+    assert dt_max == pytest.approx(0.0072, abs=1e-4)
+    ok = SimConfig(dt=0.99 * dt_max, t_end=1.0, seed=1)
+    integrate(d.modified.L_tilde, gains, ok, shape)
+    # the exact propagator has no step-size limit
+    exact_trajectory(d.modified.L_tilde, gains, cfg, shape)
+
+
+def test_overflowing_powers_do_not_flag_a_finite_state():
+    # the growing mode is not excited; its high powers still overflow
+    L_tilde = -np.diag([50.0, -1.0]).astype(complex)
+    cfg = SimConfig(dt=0.01, t_end=20.0, p0=np.array([0, 1], dtype=complex),
+                    sample_stride=100)
+    shape = center_shape([1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (integrate, exact_trajectory):
+            traj = run(L_tilde, np.ones(2, dtype=complex), cfg, shape)
+            assert np.all(traj.states[:, 0] == 0)
+            assert traj.states[-1, 1] == pytest.approx(np.exp(-20.0), rel=1e-6)
+
+
+@st.composite
+def _stable_runs(draw):
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = B - (np.linalg.eigvals(B).real.max() + draw(st.floats(0.01, 2.0))) * np.eye(n)
+    dt = 0.01
+    A *= draw(st.floats(0.05, 0.5)) / (dt * np.abs(np.linalg.eigvals(A)).max())
+    steps = draw(st.integers(1, 300))
+    heading = None
+    if draw(st.booleans()):
+        agent, neighbor = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+        untils = draw(st.lists(st.floats(0.0, 1.2 * steps * dt), min_size=1, max_size=4))
+        schedule = tuple((u, complex(*rng.standard_normal(2))) for u in untils)
+        heading = HeadingControl(int(agent), int(neighbor),
+                                 draw(st.floats(0.1, 2.0)), schedule)
+    cfg = SimConfig(dt=dt, t_end=steps * dt, seed=int(rng.integers(1000)),
+                    sample_stride=draw(st.integers(1, 9)), heading=heading)
+    return -A, cfg, center_shape(np.exp(2j * np.pi * np.arange(n) / n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stable_runs())
+def test_step_maps_match_per_step_loops_property(run):
+    L_tilde, cfg, shape = run
+    args = (L_tilde, np.ones(shape.n, dtype=complex), cfg, shape)
+    _assert_same_run(integrate(*args), _per_step_reference(*args))
+    _assert_same_run(exact_trajectory(*args), _per_step_reference(*args, exact=True))
