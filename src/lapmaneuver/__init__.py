@@ -28,7 +28,7 @@ from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   shape_projector)
 from .spectral import (DesignResult, JordanReport, SpectralReport,
                        StabilityAnalysis, SteadyStatePrediction,
-                       design_pipeline, gain_boost, predict_steady_state,
+                       design_pipeline, predict_steady_state,
                        stability_bound, verify_motion_spectrum,
                        verify_translation_jordan)
 

@@ -7,7 +7,7 @@ oriented edge (tail, head); the incidence matrix puts +1 at the tail so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

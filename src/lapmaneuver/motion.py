@@ -4,14 +4,14 @@ M_t, M_r, M_s, their gain-weighted combination, and the modified Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import SingularGain, ZeroEdgeVector
 from .graphs import FormationGraph, incidence_matrix
-from .shapes import ReferenceShape, WeightSet
+from .shapes import TOLERANCES, ReferenceShape, WeightSet, build_laplacian
 
 MuMap = dict[tuple[int, int], complex]
 
@@ -183,11 +183,8 @@ def modified_laplacian(g: FormationGraph, L: np.ndarray, gains: np.ndarray,
     for (i, j), mu in mu_tilde.items():
         omega_tilde[(i, j)] = omega_tilde.get((i, j), 0j) \
             - spec.kappa_tilde / gains[i - 1] * mu
-    L_check = np.zeros_like(L_tilde)
-    for (i, j), val in omega_tilde.items():
-        L_check[i - 1, j - 1] = -val
-        L_check[i - 1, i - 1] += val
+    L_check = build_laplacian(g, WeightSet(omega_tilde))
     scale = max(np.abs(L_tilde).max(), 1.0)
-    if np.abs(L_tilde - L_check).max() > 1e-12 * scale:
+    if np.abs(L_tilde - L_check).max() > TOLERANCES["assembly_rel"] * scale:
         raise AssertionError("modified Laplacian assembly paths disagree")
     return ModifiedLaplacian(L_tilde, omega_tilde)

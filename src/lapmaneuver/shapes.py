@@ -14,9 +14,21 @@ import numpy as np
 from .errors import DegenerateShape, DegenerateWeights, InfeasibleRow, StabilizationFailed
 from .graphs import FormationGraph
 
-# Singular-value thresholds (relative to the largest) for the rank n-2 check.
-KERNEL_TOL = 1e-10
-GAP_TOL = 1e-6
+# Every threshold that decides pass/fail, read at its use site and written
+# to report.json as is. Each is relative to the scale named beside it.
+TOLERANCES = {
+    "kernel_sv_rel": 1e-10,  # rank check: sigma_{n-1} below, x sigma_1
+    "rank_gap_sv_rel": 1e-6,  # rank check: sigma_{n-2} above, x sigma_1
+    "center_rel": 1e-12,  # |sum p*|, x n max|p*|
+    "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(L)
+    "assembly_rel": 1e-12,  # L~ by matrix formula vs by modified weights
+    "spectrum_rel": 1e-8,  # eigenvalue placement (verify, RK4 pre-flight), x rho
+    "jordan_rel": 1e-10,  # translation chain residuals, x ||K L~|| ||p*||
+    "jordan_rank_sv_rel": 1e-8,  # rank of K L~, x sigma_1
+    "cond_limit": 1e8,  # condition number of an eigenbasis (absolute)
+}
+_WEIGHT_DRAWS = 20  # seeds tried before the rank check is given up
+_GAIN_TRIES = 2000  # random-search steps in stabilize_gains
 
 
 @dataclass(frozen=True)
@@ -33,7 +45,7 @@ class ReferenceShape:
         scale = np.abs(p).max()
         if scale == 0:
             raise DegenerateShape("reference shape has zero extent")
-        if abs(p.sum()) > 1e-12 * p.size * scale:
+        if abs(p.sum()) > TOLERANCES["center_rel"] * p.size * scale:
             raise DegenerateShape("reference shape is not centered")
 
     @property
@@ -69,26 +81,23 @@ class WeightSet:
         return self.omega[key]
 
 
-def synthesize_weights(g: FormationGraph, shape: ReferenceShape, seed: int,
-                       max_retries: int = 20) -> WeightSet:
+def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
+                       seed: int) -> WeightSet:
     """Choose weights so each row of L annihilates both 1 and p*.
 
     Two-neighbor rows use the closed form (w_ij, w_ik) = (z*_ik, -z*_ij);
     larger rows draw a seeded random element of the row null space. The
     global rank n-2 condition is verified afterwards and the random rows are
-    re-drawn on failure, up to `max_retries`.
+    re-drawn from the next seed on failure, up to _WEIGHT_DRAWS seeds.
     """
     if shape.n != g.n:
         raise ValueError("shape size does not match graph")
-    for attempt in range(max_retries):
-        rng = np.random.default_rng(seed + attempt)
-        omega = _draw_weights(g, shape, rng)
-        L = build_laplacian(g, WeightSet(omega))
-        s = np.linalg.svd(L, compute_uv=False)
-        if s[-2] < KERNEL_TOL * s[0] and s[-3] > GAP_TOL * s[0]:
-            return WeightSet(omega)
+    for attempt in range(_WEIGHT_DRAWS):
+        w = WeightSet(_draw_weights(g, shape, np.random.default_rng(seed + attempt)))
+        if kernel_rank_ok(build_laplacian(g, w)):
+            return w
     raise DegenerateWeights(
-        f"Laplacian rank check failed after {max_retries} seeds")
+        f"Laplacian rank check failed after {_WEIGHT_DRAWS} seeds")
 
 
 def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> dict:
@@ -127,9 +136,11 @@ def build_laplacian(g: FormationGraph, w: WeightSet) -> np.ndarray:
     return L
 
 
-def kernel_rank_ok(L: np.ndarray, n: int) -> bool:
+def kernel_rank_ok(L: np.ndarray) -> bool:
+    """Rank n-2: a two-dimensional null space separated by a singular-value gap."""
     s = np.linalg.svd(L, compute_uv=False)
-    return bool(s[-2] < KERNEL_TOL * s[0] and s[-3] > GAP_TOL * s[0])
+    return bool(s[-2] < TOLERANCES["kernel_sv_rel"] * s[0]
+                and s[-3] > TOLERANCES["rank_gap_sv_rel"] * s[0])
 
 
 def nonkernel_eigenvalues(A: np.ndarray, kernel_dim: int = 2):
@@ -139,19 +150,19 @@ def nonkernel_eigenvalues(A: np.ndarray, kernel_dim: int = 2):
     return ev[order[:kernel_dim]], ev[order[kernel_dim:]]
 
 
-def stabilize_gains(L: np.ndarray, shape: ReferenceShape, budget: int = 2000,
-                    seed: int = 0, margin_rel: float = 1e-6) -> np.ndarray:
+def stabilize_gains(L: np.ndarray, shape: ReferenceShape,
+                    seed: int = 0) -> np.ndarray:
     """Find a complex diagonal gain vector k putting the non-kernel spectrum
     of KL in the right-half plane.
 
     Starts from K = I and applies seeded random multiplicative perturbations,
-    keeping the candidate with the largest minimal real part. Moduli are
-    clamped to [0.1, 10].
+    keeping the candidate with the largest minimal real part, for up to
+    _GAIN_TRIES steps. Moduli are clamped to [0.1, 10].
     """
     n = L.shape[0]
     rng = np.random.default_rng(seed)
     radius = float(np.abs(np.linalg.eigvals(L)).max())
-    margin = margin_rel * radius
+    margin = TOLERANCES["gain_margin_rel"] * radius
 
     def score(k):
         _, rest = nonkernel_eigenvalues(np.diag(k) @ L)
@@ -161,7 +172,7 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape, budget: int = 2000,
     best = score(best_k)
     if best >= margin:
         return best_k
-    for _ in range(budget):
+    for _ in range(_GAIN_TRIES):
         cand = best_k * np.exp(0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
         mag = np.abs(cand)
         cand = cand * np.clip(mag, 0.1, 10.0) / mag
@@ -171,7 +182,7 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape, budget: int = 2000,
             if best >= margin:
                 return best_k
     raise StabilizationFailed(
-        f"no stabilizing gains within budget {budget} (best margin {best:.3e})")
+        f"no stabilizing gains within budget {_GAIN_TRIES} (best margin {best:.3e})")
 
 
 @dataclass(frozen=True)
@@ -183,13 +194,5 @@ class LaplacianBundle:
     weights: WeightSet
 
     @property
-    def K(self) -> np.ndarray:
-        return np.diag(self.gains)
-
-    @property
     def KL(self) -> np.ndarray:
         return np.diag(self.gains) @ self.L
-
-    def spectral_summary(self) -> np.ndarray:
-        ev = np.linalg.eigvals(self.KL)
-        return ev[np.argsort(ev.real)]

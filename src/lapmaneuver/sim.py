@@ -17,8 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import Diverged, NotConverged, StepUnstable, ZeroState
-from .shapes import ReferenceShape
-from .spectral import SPECTRUM_REL
+from .shapes import TOLERANCES, ReferenceShape
 
 _TABLE_BYTES = 256 * 1024  # bound on one segment's table of step-map powers
 _RK4 = (1 / 24, 1 / 6, 1 / 2, 1, 1)  # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
@@ -121,9 +120,9 @@ def exact_trajectory(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
 
 def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
     """R(dt X), once every decaying mode of the n x n block (Re below
-    -SPECTRUM_REL times the spectral radius) lies in RK4's stability region."""
+    -spectrum_rel times the spectral radius) lies in RK4's stability region."""
     lam = np.linalg.eigvals(X[:-1, :-1])
-    lam = lam[lam.real < -SPECTRUM_REL * np.abs(lam).max(initial=0.0)]
+    lam = lam[lam.real < -TOLERANCES["spectrum_rel"] * np.abs(lam).max(initial=0.0)]
     bad = lam[np.abs(np.polyval(_RK4, dt * lam)) >= 1]
     if bad.size:
         lo, hi = np.zeros(bad.size), np.full(bad.size, dt)

@@ -20,10 +20,10 @@ from .errors import (ChainBroken, ExpansionIllConditioned, NonDiagonalizable,
 from .graphs import FormationGraph, incidence_matrix
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
-from .shapes import (LaplacianBundle, ReferenceShape, build_laplacian,
-                     stabilize_gains, synthesize_weights)
+from .shapes import (TOLERANCES, LaplacianBundle, ReferenceShape,
+                     build_laplacian, stabilize_gains, synthesize_weights)
 
-SPECTRUM_REL = 1e-8  # eigenvalue placement, relative to the spectral radius
+MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 
 
 def _sin_angle(v: np.ndarray, u: np.ndarray) -> float:
@@ -49,8 +49,7 @@ class SpectralReport:
 
 
 def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
-                           spec: MotionSpec, shape: ReferenceShape,
-                           tol: float = SPECTRUM_REL) -> SpectralReport:
+                           spec: MotionSpec, shape: ReferenceShape) -> SpectralReport:
     """Check that K L~ has the relocated eigenvalue, the preserved shape
     eigenvector, the kernel vector 1, and a right-half-plane remainder.
 
@@ -87,7 +86,8 @@ def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
         others_stable=bool(np.all(ev[others].real > 0)) if others.size else True,
         algebraic_residual=alg,
     )
-    if moving_residual > tol * radius or kernel_residual > tol * radius \
+    tol = TOLERANCES["spectrum_rel"] * radius
+    if moving_residual > tol or kernel_residual > tol \
             or not report.others_stable:
         raise SpectrumMismatch(
             f"eigenstructure off prediction: moving residual {moving_residual:.2e}, "
@@ -108,8 +108,7 @@ class JordanReport:
 
 
 def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
-                              shape: ReferenceShape,
-                              tol: float = 1e-10) -> JordanReport:
+                              shape: ReferenceShape) -> JordanReport:
     """Check K L~ p* = -kappa~ kappa_t v* 1, K L~ 1 = 0 and rank n-1."""
     if spec.omega != 0 or spec.a != 0 or spec.v_star == 0:
         raise ValueError("translation case requires omega = a = 0, v* != 0")
@@ -121,8 +120,9 @@ def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
     r_kernel = float(np.linalg.norm(KL_tilde @ ones))
     r_sq = float(np.linalg.norm(KL_tilde @ (KL_tilde @ shape.p_star)))
     s = np.linalg.svd(KL_tilde, compute_uv=False)
-    rank = int(np.sum(s > 1e-8 * s[0]))
+    rank = int(np.sum(s > TOLERANCES["jordan_rank_sv_rel"] * s[0]))
     report = JordanReport(r_chain, r_kernel, r_sq, rank, rank == n - 1)
+    tol = TOLERANCES["jordan_rel"]
     if r_chain > tol * scale or r_kernel > tol * scale:
         raise ChainBroken(
             f"chain residual {r_chain:.2e}, kernel residual {r_kernel:.2e} "
@@ -142,8 +142,7 @@ class StabilityAnalysis:
 
 
 def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
-                    shape: ReferenceShape,
-                    cond_limit: float = 1e8) -> StabilityAnalysis:
+                    shape: ReferenceShape) -> StabilityAnalysis:
     """Sufficient upper bound on kappa~ keeping the non-kernel spectrum of
     K L~ in the right-half plane.
 
@@ -151,6 +150,8 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
     block diagonal with a zero 2x2 leading block and a diagonal J2. With
     Q = diag(1/Re(lambda)) the Lyapunov identity Q J2 + J2^H Q = 2 I holds
     exactly and the bound is 1 / ||Q (T^-1 M~ B^T T)_(trailing block)||_2.
+    Scaling K by h scales Q by 1/h and leaves T^-1 M~ B^T T alone, so the
+    bound of hKL is h times the bound of KL.
     """
     n = KL.shape[0]
     ev, V = np.linalg.eig(KL)
@@ -159,10 +160,10 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
     T = np.column_stack([np.ones(n, dtype=complex), shape.p_star,
                          V[:, nonkernel]])
     cond = np.linalg.cond(T)
-    if cond > cond_limit:
+    if cond > TOLERANCES["cond_limit"]:
         raise NonDiagonalizable(
             f"eigenvector basis condition number {cond:.2e} exceeds "
-            f"{cond_limit:.0e}; consider a gain boost")
+            f"{TOLERANCES['cond_limit']:.0e}; consider a gain boost")
     J2 = ev[nonkernel]
     if np.any(J2.real <= 0):
         raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
@@ -174,11 +175,6 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
     # QJ2 + J2^H Q - 2I is exactly zero for diagonal J2 and Q = 1/Re(J2)
     lyap = float(np.abs(Q * J2 + np.conj(J2) * Q - 2.0).max())
     return StabilityAnalysis(T, J2, Q, bound, lyap)
-
-
-def gain_boost(gains: np.ndarray, h: float) -> np.ndarray:
-    """Scale all gains by h > 0; the speed bound scales by the same factor."""
-    return gains * h
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,7 @@ class SteadyStatePrediction:
 
 def predict_steady_state(p0: np.ndarray, KL_tilde: np.ndarray,
                          spec: MotionSpec, motion: MotionMatrices,
-                         shape: ReferenceShape,
-                         cond_limit: float = 1e8) -> SteadyStatePrediction:
+                         shape: ReferenceShape) -> SteadyStatePrediction:
     """Expand p(0) in the (generalized) eigenbasis of -K L~ and return the
     non-decaying part of the solution."""
     n = KL_tilde.shape[0]
@@ -241,7 +236,7 @@ def predict_steady_state(p0: np.ndarray, KL_tilde: np.ndarray,
         rate = 0j
         basis_shape = shape.p_star
         case = "translation" if spec.v_star != 0 else "static"
-    if np.linalg.cond(W) > cond_limit:
+    if np.linalg.cond(W) > TOLERANCES["cond_limit"]:
         raise ExpansionIllConditioned(
             f"eigenbasis condition number {np.linalg.cond(W):.2e}")
     coeff = np.linalg.solve(W, np.asarray(p0, dtype=complex))
@@ -280,32 +275,36 @@ class DesignResult:
 
 
 def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
-                    seed: int = 0, gain_budget: int = 2000,
-                    weight_retries: int = 20,
-                    max_boosts: int = 60) -> DesignResult:
+                    seed: int = 0) -> DesignResult:
     """Steps: synthesize weights and gains, build the motion matrices, bound
-    the speed gain (doubling the gain boost h until the requested kappa~ is
-    admitted), assemble L~ and verify the predicted eigenstructure."""
+    the speed gain (boosting the gains by the smallest power of two 2^k that
+    admits the requested kappa~), assemble L~ and verify the predicted
+    eigenstructure."""
     stage = "weights"
     try:
-        weights = synthesize_weights(g, shape, seed, max_retries=weight_retries)
+        weights = synthesize_weights(g, shape, seed)
         L = build_laplacian(g, weights)
         stage = "gains"
-        gains = stabilize_gains(L, shape, budget=gain_budget, seed=seed)
+        gains = stabilize_gains(L, shape, seed=seed)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
         B = incidence_matrix(g)
         stage = "stability"
-        boost = 1.0
         stability = stability_bound(np.diag(gains) @ L, motion.M_tilde, B, shape)
+        bound, k = stability.kappa_tilde_max, 0
         while spec.kappa_tilde >= stability.kappa_tilde_max:
-            boost *= 2.0
-            if boost > 2.0 ** max_boosts:
-                raise PipelineFailed(stage, ValueError(
-                    f"kappa_tilde {spec.kappa_tilde} not admitted after "
-                    f"{max_boosts} gain doublings"))
-            gains = gain_boost(gains, 2.0)
-            stability = stability_bound(np.diag(gains) @ L, motion.M_tilde, B, shape)
+            # the bound of 2^k KL is 2^k times the h = 1 bound; certify the
+            # shipped gains, and on a rounding tie double once more
+            k += 1
+            while k <= MAX_BOOSTS and spec.kappa_tilde >= 2.0 ** k * bound:
+                k += 1
+            if k > MAX_BOOSTS:
+                raise ValueError(f"kappa_tilde {spec.kappa_tilde} not admitted "
+                                 f"after {MAX_BOOSTS} gain doublings")
+            stability = stability_bound(np.diag(gains * 2.0 ** k) @ L,
+                                        motion.M_tilde, B, shape)
+        boost = 2.0 ** k
+        gains = gains * boost
         stage = "modified"
         modified = modified_laplacian(g, L, gains, weights, motion, spec)
         KL_tilde = np.diag(gains) @ modified.L_tilde

@@ -5,6 +5,7 @@ import pytest
 
 from lapmaneuver import SpectrumMismatch, Trajectory, builtin_scenario, run_scenario
 from lapmaneuver.cli import main, write_trajectory_csv
+from lapmaneuver.shapes import TOLERANCES
 
 
 def _write(tmp_path, name, overrides=None, fname="scenario.json"):
@@ -22,7 +23,7 @@ def test_design_writes_report(tmp_path):
     code = main(["design", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["gain_boost"] == 1.0
     assert len(report["weights"]) == 2 * 9  # both orientations of 9 edges
     assert len(report["eigenvalues_KL_tilde"]) == 5
@@ -117,13 +118,38 @@ def test_verify_warns_above_bound(tmp_path, capsys):
     assert "WARNING" in out and "exceeds" in out
 
 
+def test_verify_checks_the_shipped_design(tmp_path, capsys):
+    # verify certifies the boosted gains that design writes, and still warns
+    path = _write(tmp_path, "enclosing", {"motion": {"kappa_tilde": 20.0}})
+    assert main(["design", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["tolerances"] == TOLERANCES  # the table the code reads
+    assert report["gain_boost"] == 2.0
+    assert f"{report['kappa_tilde_max']:.4g}" == "26.5"
+    capsys.readouterr()
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS perturbation-bound: kappa_tilde_max 26.5 (gain boost 2)" in out
+    assert f"bound {report['kappa_tilde_max'] / 2:.4g} of the unboosted gains" in out
+    assert "doubled 1 time(s)" in out
+
+
+def test_verify_infeasible_graph_exit_1(tmp_path, capsys):
+    over = {"graph": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+            "shape": [[0, 0], [1, 0], [0, 1], [-1, 0]]}
+    path = _write(tmp_path, "traveling_heading", over)
+    code = main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert "not 2-rooted" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_4(tmp_path, capsys, monkeypatch):
-    import lapmaneuver.cli as cli
+    import lapmaneuver.spectral as spectral
 
     def broken(*args, **kwargs):
         raise SpectrumMismatch("injected mismatch")
 
-    monkeypatch.setattr(cli, "verify_motion_spectrum", broken)
+    monkeypatch.setattr(spectral, "verify_motion_spectrum", broken)
     path = _write(tmp_path, "enclosing")
     code = main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 4

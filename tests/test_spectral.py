@@ -1,15 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lapmaneuver import (MotionSpec, PipelineFailed, SpectrumMismatch,
-                         build_laplacian, compile_motion, design_pipeline,
-                         gain_boost, incidence_matrix, modified_laplacian,
-                         predict_steady_state, stability_bound,
-                         synthesize_weights, verify_motion_spectrum,
-                         verify_translation_jordan)
+from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed,
+                         SpectrumMismatch, build_laplacian, builtin_scenario,
+                         center_shape, compile_motion, design_pipeline,
+                         incidence_matrix, modified_laplacian,
+                         predict_steady_state, scenario_from_dict,
+                         stability_bound, synthesize_weights,
+                         verify_motion_spectrum, verify_translation_jordan)
+from lapmaneuver.shapes import TOLERANCES
+from lapmaneuver.spectral import MAX_BOOSTS
 
 from conftest import random_instance, square_graph, square_shape
 
@@ -105,8 +111,6 @@ def test_gain_boost_doubles_bound(square):
     boosted = stability_bound(2.0 * KL, d.motion.M_tilde, B, shape)
     assert boosted.kappa_tilde_max == pytest.approx(2 * base.kappa_tilde_max,
                                                    rel=1e-10)
-    assert np.allclose(gain_boost(d.bundle.gains, 2.0), 2.0 * d.bundle.gains)
-    assert np.allclose(gain_boost(d.bundle.gains, 1.0), d.bundle.gains)
 
 
 def test_bound_monotonic_in_h(square):
@@ -223,3 +227,99 @@ def test_random_instances_verify(square):
         d = design_pipeline(g, shape, spec, seed=seed)
         assert d.spectral.moving_residual < 1e-8
         assert d.spectral.others_stable
+
+
+@pytest.mark.parametrize("key, value, stage", [("spectrum_rel", 1e-30, "verify"),
+                                               ("cond_limit", 1.0, "stability")])
+def test_pipeline_reads_the_tolerance_table(square, monkeypatch, key, value, stage):
+    g, shape = square
+    monkeypatch.setitem(TOLERANCES, key, value)
+    with pytest.raises(PipelineFailed) as exc:
+        design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025))
+    assert exc.value.stage == stage
+
+
+def test_boost_is_capped_at_max_boosts(square):
+    g, shape = square
+    b1 = _design(MotionSpec(omega=1.0, kappa_r=0.025)).stability.kappa_tilde_max
+    top = _design(MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=2.0 ** 59.5 * b1))
+    assert top.boost == 2.0 ** MAX_BOOSTS
+    with pytest.raises(PipelineFailed, match=f"after {MAX_BOOSTS} gain doublings") as exc:
+        _design(MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=2.0 ** 60.5 * b1))
+    assert exc.value.stage == "stability"
+
+
+def test_certificate_is_computed_on_the_shipped_gains():
+    # here the bound of 2K differs from twice the bound of K in the last bits
+    sc = scenario_from_dict(builtin_scenario("enclosing", {"motion": {"kappa_tilde": 20.0}}))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    fresh = stability_bound(d.bundle.KL, d.motion.M_tilde, incidence_matrix(sc.graph),
+                            sc.shape)
+    assert d.boost == 2.0
+    assert d.stability.kappa_tilde_max == fresh.kappa_tilde_max
+
+
+_MOTIONS = (MotionSpec(omega=1.0, kappa_r=0.025),
+            MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025),
+            MotionSpec(v_star=1.0, kappa_t=0.05))
+
+
+@st.composite
+def _ring_chord_designs(draw):
+    """A design on a ring plus random chords (n <= 12) with an irregular
+    n-gon shape, and the h = 1 bound b1 of its unboosted gains.
+
+    The non-kernel spectrum of KL must be simple: on a repeated eigenvalue
+    (every plain 4-cycle has one) the bound depends on the eigenspace basis
+    the eigensolver returns, and so does not scale exactly with h."""
+    n = draw(st.integers(4, 12))
+    edges = [(k + 1, (k + 1) % n + 1) for k in range(n)]
+    present = {frozenset(e) for e in edges}
+    for i, j in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                              max_size=n // 2)):
+        if i != j and frozenset((i, j)) not in present:
+            edges.append((i, j))
+            present.add(frozenset((i, j)))
+    g = FormationGraph(n, tuple(edges))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = 1.0 / (2.0 * np.sin(np.pi / n))
+    shape = center_shape(r * np.exp(2j * np.pi * np.arange(n) / n)
+                         + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    spec, seed = draw(st.sampled_from(_MOTIONS)), draw(st.integers(0, 3))
+    try:
+        d = design_pipeline(g, shape, spec, seed=seed)
+    except PipelineFailed:
+        assume(False)
+    KL1 = np.diag(d.bundle.gains / d.boost) @ d.bundle.L
+    ev = np.linalg.eigvals(KL1)
+    ev = ev[np.argsort(np.abs(ev))[2:]]
+    i, j = np.triu_indices(ev.size, 1)
+    assume(np.abs(ev[i] - ev[j]).min() > 1e-6 * np.abs(ev).max())
+    b1 = stability_bound(KL1, d.motion.M_tilde, incidence_matrix(g), shape)
+    return d, KL1, b1.kappa_tilde_max, seed
+
+
+@settings(max_examples=8, deadline=None)
+@given(_ring_chord_designs())
+def test_bound_scales_with_the_gain_boost_property(design):
+    # exact in exact arithmetic; the eigensolver's rounding differs between KL
+    # and 2^j KL (1388 random designs: at most 12.5 eps cond(T)^2, half exact)
+    d, KL1, b1, _ = design
+    B = incidence_matrix(d.graph)
+    rel = 64 * np.finfo(float).eps * np.linalg.cond(d.stability.T) ** 2
+    for j in range(12):
+        scaled = stability_bound(2.0 ** j * KL1, d.motion.M_tilde, B, d.shape)
+        assert scaled.kappa_tilde_max == pytest.approx(2.0 ** j * b1, rel=rel)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_ring_chord_designs(), st.floats(0.01, 3000.0))
+def test_boost_is_the_smallest_admitting_power_of_two_property(design, multiple):
+    d, _, b1, seed = design
+    # kappa~ next to 2^j b1 is a rounding tie: the certified bound of 2^j K
+    # may differ from 2^j b1 in the last bits
+    assume(abs(multiple / 2.0 ** round(math.log2(multiple)) - 1) > 1e-9)
+    spec = dataclasses.replace(d.spec, kappa_tilde=multiple * b1)
+    boosted = design_pipeline(d.graph, d.shape, spec, seed=seed)
+    assert boosted.boost == 2.0 ** max(0, math.floor(math.log2(multiple)) + 1)
+    assert spec.kappa_tilde < boosted.stability.kappa_tilde_max
