@@ -6,8 +6,8 @@ scaling, verifies the spectral guarantees, and simulates the closed loop.
 """
 
 from .errors import (ChainBroken, DegenerateShape, DegenerateWeights, Diverged,
-                     ExpansionIllConditioned, FormationError, GraphDisconnected,
-                     InfeasibleRow, NonDiagonalizable, NotConverged,
+                     ExpansionIllConditioned, FormationError, InfeasibleRow,
+                     NonDiagonalizable, NotConverged, NotTwoRooted,
                      PipelineFailed, ScenarioError, SingularGain,
                      SpectrumMismatch, StabilizationFailed, StepUnstable,
                      ZeroEdgeVector, ZeroState)
@@ -26,7 +26,7 @@ from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   exact_trajectory, initial_condition, integrate,
                   measure_motion, shape_error, shape_error_series,
                   shape_projector)
-from .spectral import (DesignResult, JordanReport, SpectralReport,
+from .spectral import (DesignResult, Eigensystem, JordanReport, SpectralReport,
                        StabilityAnalysis, SteadyStatePrediction,
                        design_pipeline, predict_steady_state,
                        stability_bound, verify_motion_spectrum,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (ChainBroken, Diverged, PipelineFailed, ScenarioError,
                      SpectrumMismatch)
-from .graphs import is_two_rooted
 from .scenarios import Scenario, load_scenario, simulate_scenario
 from .shapes import TOLERANCES
 from .sim import Trajectory, initial_condition, shape_error_series
@@ -42,11 +41,8 @@ def _cvec(v) -> list:
 
 def build_report(sc: Scenario, design: DesignResult,
                  traj: Trajectory | None = None) -> dict:
-    KLt = design.KL_tilde
     bound = design.stability.kappa_tilde_max
-    p0 = initial_condition(sc.sim, sc.shape)
-    prediction = predict_steady_state(p0, KLt, design.spec, design.motion,
-                                      design.shape)
+    prediction = predict_steady_state(initial_condition(sc.sim, sc.shape), design)
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": sc.name,
@@ -56,8 +52,8 @@ def build_report(sc: Scenario, design: DesignResult,
                     sorted(design.bundle.weights.omega.items())],
         "gains": _cvec(design.bundle.gains),
         "gain_boost": design.boost,
-        "eigenvalues_KL": _cvec(np.linalg.eigvals(design.bundle.KL)),
-        "eigenvalues_KL_tilde": _cvec(np.linalg.eigvals(KLt)),
+        "eigenvalues_KL": _cvec(design.stability.eigenvalues),
+        "eigenvalues_KL_tilde": _cvec(design.eigensystem.values),
         "kappa_tilde_max": None if math.isinf(bound) else bound,
         "kappa_tilde_unbounded": math.isinf(bound),
         "prediction": {"c1": _c(prediction.c1), "c2": _c(prediction.c2),
@@ -113,20 +109,9 @@ def _load(path: str, seed) -> Scenario:
     return sc
 
 
-def _design(sc: Scenario) -> DesignResult | None:
-    """The design `design` ships; None, reported, if the graph is not 2-rooted."""
-    feas = is_two_rooted(sc.graph)
-    if not feas.two_rooted:
-        print(f"infeasible: graph is not 2-rooted ({feas.reason})", file=sys.stderr)
-        return None
-    return design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
-
-
 def cmd_design(path: str, out: Path, seed) -> int:
     sc = _load(path, seed)
-    design = _design(sc)
-    if design is None:
-        return EXIT_INFEASIBLE
+    design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     write_report(build_report(sc, design), out / sc.report_name)
     print(f"design ok: report written to {out / sc.report_name}")
     return EXIT_OK
@@ -146,9 +131,7 @@ def cmd_simulate(path: str, out: Path, seed) -> int:
 def cmd_verify(path: str, out: Path, seed) -> int:
     """Print the checks that certified the design `design` ships."""
     sc = _load(path, seed)
-    design = _design(sc)
-    if design is None:
-        return EXIT_INFEASIBLE
+    design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     if design.spectral is not None:
         print(f"PASS moving-eigenvalue: moving residual "
               f"{design.spectral.moving_residual:.2e}")

@@ -5,8 +5,8 @@ class FormationError(Exception):
     """Base class for all toolkit errors."""
 
 
-class GraphDisconnected(FormationError):
-    """The interaction graph is not connected."""
+class NotTwoRooted(FormationError):
+    """No two-node root set: weights with kernel span{1, p*} cannot be designed."""
 
 
 class DegenerateShape(FormationError):

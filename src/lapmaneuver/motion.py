@@ -47,10 +47,6 @@ class MotionSpec:
             raise ValueError("a requested but kappa_s is zero")
 
     @property
-    def is_static(self) -> bool:
-        return self.v_star == 0 and self.a == 0 and self.omega == 0
-
-    @property
     def is_translation_only(self) -> bool:
         return self.v_star != 0 and self.a == 0 and self.omega == 0
 

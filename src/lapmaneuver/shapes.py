@@ -187,7 +187,7 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape,
 
 @dataclass(frozen=True)
 class LaplacianBundle:
-    """Laplacian, diagonal gains and the spectrum of KL."""
+    """Laplacian, its weights and the diagonal gains; `KL` is their product."""
 
     L: np.ndarray
     gains: np.ndarray

@@ -109,19 +109,20 @@ def integrate(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     steps never straddle two schedule segments. Raises StepUnstable before
     stepping if dt puts a decaying mode outside RK4's stability region.
     """
-    return _run(L_tilde, gains, cfg, shape, _rk4_step)
+    return _run(L_tilde, gains, cfg, shape, _rk4_step, _rk4_preflight)
 
 
 def exact_trajectory(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                      shape: ReferenceShape) -> Trajectory:
     """Exact solution on the same grid and setpoint segments as `integrate`."""
-    return _run(L_tilde, gains, cfg, shape, lambda X, dt: expm(X * dt))
+    return _run(L_tilde, gains, cfg, shape, lambda X, dt: expm(X * dt),
+                lambda A, dt: None)
 
 
-def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
-    """R(dt X), once every decaying mode of the n x n block (Re below
+def _rk4_preflight(A: np.ndarray, dt: float) -> None:
+    """Raise StepUnstable unless every decaying mode of A (Re below
     -spectrum_rel times the spectral radius) lies in RK4's stability region."""
-    lam = np.linalg.eigvals(X[:-1, :-1])
+    lam = np.linalg.eigvals(A)
     lam = lam[lam.real < -TOLERANCES["spectrum_rel"] * np.abs(lam).max(initial=0.0)]
     bad = lam[np.abs(np.polyval(_RK4, dt * lam)) >= 1]
     if bad.size:
@@ -133,6 +134,10 @@ def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
         raise StepUnstable(
             f"RK4 step dt={dt:g} is unstable for the closed-loop mode "
             f"{bad[np.argmin(lo)]:.4g}; the largest stable dt is about {lo.min():.3g}")
+
+
+def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
+    """R(dt X), the RK4 step map."""
     Z = dt * X
     eye = np.eye(len(Z))
     return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4) / 3) / 2)
@@ -151,8 +156,9 @@ def _power_table(S: np.ndarray, steps: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite states raise Diverged
 def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
-         shape: ReferenceShape, step_map) -> Trajectory:
-    """Step [p; 1] by S = step_map(X, dt), one S per setpoint segment."""
+         shape: ReferenceShape, step_map, preflight) -> Trajectory:
+    """Step [p; 1] by S = step_map(X, dt), one S per setpoint segment, after
+    preflight(A, dt) on the n x n block A of X, which no segment changes."""
     n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
@@ -162,6 +168,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
         X[h.agent - 1, h.agent - 1] -= h.gain
         X[h.agent - 1, h.neighbor - 1] += h.gain
         seg = h._entry_at(np.arange(steps) * dt)  # zero-order hold at k dt
+    preflight(X[:n, :n], dt)
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
     keep = np.union1d(np.arange(0, steps, cfg.sample_stride), steps)  # sampled steps
     samples = np.empty((keep.size, n), dtype=complex)

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ChainBroken, ExpansionIllConditioned, NonDiagonalizable,
-                     PipelineFailed, SpectrumMismatch)
-from .graphs import FormationGraph, incidence_matrix
+                     NotTwoRooted, PipelineFailed, SpectrumMismatch)
+from .graphs import FormationGraph, incidence_matrix, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
 from .shapes import (TOLERANCES, LaplacianBundle, ReferenceShape,
@@ -31,6 +31,41 @@ def _sin_angle(v: np.ndarray, u: np.ndarray) -> float:
     v = v / np.linalg.norm(v)
     u = u / np.linalg.norm(u)
     return float(np.linalg.norm(v - np.vdot(u, v) * u))
+
+
+@dataclass(frozen=True)
+class Eigensystem:
+    """A matrix with the eigenvalues and right eigenvectors of one `eig` call."""
+
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def eigensystem(A: np.ndarray) -> Eigensystem:
+    return Eigensystem(A, *np.linalg.eig(A))
+
+
+def split_spectrum(ev: np.ndarray, target: Optional[complex] = None) -> np.ndarray:
+    """Eigenvalue indices of KL or K L~, the pair spanning the shape plane
+    first: without a target the two smallest |lambda|, all in ascending
+    |lambda|; with one, the eigenvalue nearest it (moving) and the smallest
+    remaining |lambda| (kernel), the rest in eig's order."""
+    if target is None:
+        return np.argsort(np.abs(ev))
+    im = int(np.argmin(np.abs(ev - target)))
+    rest = np.delete(np.arange(ev.size), im)
+    k = int(np.argmin(np.abs(ev[rest])))
+    return np.concatenate([[im, rest[k]], np.delete(rest, k)])
+
+
+def _moving_mode(motion: MotionMatrices, spec: MotionSpec, shape: ReferenceShape):
+    """Relocated eigenvalue -kappa~ s of K L~ and its eigenvector (c/s) 1 + p*."""
+    s_coeff = motion.shape_coeff
+    if s_coeff == 0:
+        raise ValueError("rotation/scaling case requires a != 0 or omega != 0")
+    u = (motion.uniform_coeff / s_coeff) * np.ones(shape.n, complex) + shape.p_star
+    return -spec.kappa_tilde * s_coeff, u
 
 
 @dataclass(frozen=True)
@@ -48,31 +83,20 @@ class SpectralReport:
     algebraic_residual: float
 
 
-def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
+def verify_motion_spectrum(es: Eigensystem, motion: MotionMatrices,
                            spec: MotionSpec, shape: ReferenceShape) -> SpectralReport:
     """Check that K L~ has the relocated eigenvalue, the preserved shape
     eigenvector, the kernel vector 1, and a right-half-plane remainder.
 
-    Also evaluates the algebraic identity K L~ u = -kappa~ s u with
-    u = (uniform/s) 1 + p* independently of the eigensolver.
+    The eigenvector is gated by the algebraic identity K L~ u = -kappa~ s u
+    with u = (uniform/s) 1 + p*, evaluated independently of the eigensolver.
     """
-    s_coeff = motion.shape_coeff
-    if s_coeff == 0:
-        raise ValueError("rotation/scaling case requires a != 0 or omega != 0")
-    target = -spec.kappa_tilde * s_coeff
-    n = KL_tilde.shape[0]
-    ones = np.ones(n, dtype=complex)
-    u = (motion.uniform_coeff / s_coeff) * ones + shape.p_star
-
-    ev, V = np.linalg.eig(KL_tilde)
-    radius = float(np.abs(ev).max())
-    im = int(np.argmin(np.abs(ev - target)))
+    target, u = _moving_mode(motion, spec, shape)
+    KL_tilde, ev = es.matrix, es.values
+    order = split_spectrum(ev, target)
+    im, iz, others = order[0], order[1], order[2:]
     moving_residual = float(abs(ev[im] - target))
-    rest = np.delete(np.arange(n), im)
-    iz = rest[int(np.argmin(np.abs(ev[rest])))]
     kernel_residual = float(abs(ev[iz]))
-    others = np.delete(np.arange(n), [im, iz])
-
     alg = float(np.linalg.norm(KL_tilde @ u - target * u)
                 / (np.linalg.norm(KL_tilde, 2) * np.linalg.norm(u)))
     report = SpectralReport(
@@ -80,19 +104,21 @@ def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
         moving_eigenvalue=complex(ev[im]),
         moving_target=complex(target),
         moving_residual=moving_residual,
-        moving_vector_angle=_sin_angle(V[:, im], u),
-        kernel_vector_angle=_sin_angle(V[:, iz], ones),
+        moving_vector_angle=_sin_angle(es.vectors[:, im], u),
+        kernel_vector_angle=_sin_angle(es.vectors[:, iz], np.ones(shape.n, complex)),
         others_min_real=float(ev[others].real.min()) if others.size else math.inf,
-        others_stable=bool(np.all(ev[others].real > 0)) if others.size else True,
+        others_stable=bool(np.all(ev[others].real > 0)),
         algebraic_residual=alg,
     )
-    tol = TOLERANCES["spectrum_rel"] * radius
+    rel = TOLERANCES["spectrum_rel"]
+    tol = rel * float(np.abs(ev).max())
     if moving_residual > tol or kernel_residual > tol \
-            or not report.others_stable:
+            or not report.others_stable or alg > rel:
         raise SpectrumMismatch(
             f"eigenstructure off prediction: moving residual {moving_residual:.2e}, "
             f"kernel residual {kernel_residual:.2e}, "
-            f"min Re(others) {report.others_min_real:.2e}")
+            f"min Re(others) {report.others_min_real:.2e}, "
+            f"shape eigenvector residual {alg:.2e}")
     return report
 
 
@@ -123,22 +149,24 @@ def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
     rank = int(np.sum(s > TOLERANCES["jordan_rank_sv_rel"] * s[0]))
     report = JordanReport(r_chain, r_kernel, r_sq, rank, rank == n - 1)
     tol = TOLERANCES["jordan_rel"]
-    if r_chain > tol * scale or r_kernel > tol * scale:
+    if r_chain > tol * scale or r_kernel > tol * scale or rank != n - 1:
         raise ChainBroken(
             f"chain residual {r_chain:.2e}, kernel residual {r_kernel:.2e} "
-            f"exceed {tol:.0e} * {scale:.2e}")
+            f"against {tol:.0e} * {scale:.2e}; rank {rank}, want {n - 1}")
     return report
 
 
 @dataclass(frozen=True)
 class StabilityAnalysis:
-    """Similarity transform, Lyapunov certificate and the speed gain bound."""
+    """Similarity transform, Lyapunov certificate and the speed gain bound,
+    with the full spectrum of the KL they certify."""
 
     T: np.ndarray
     J2: np.ndarray
     Q: np.ndarray
     kappa_tilde_max: float
     lyapunov_residual: float
+    eigenvalues: np.ndarray
 
 
 def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
@@ -155,15 +183,15 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
     """
     n = KL.shape[0]
     ev, V = np.linalg.eig(KL)
-    order = np.argsort(np.abs(ev))
-    nonkernel = order[2:]
+    nonkernel = split_spectrum(ev)[2:]
     T = np.column_stack([np.ones(n, dtype=complex), shape.p_star,
                          V[:, nonkernel]])
     cond = np.linalg.cond(T)
     if cond > TOLERANCES["cond_limit"]:
         raise NonDiagonalizable(
             f"eigenvector basis condition number {cond:.2e} exceeds "
-            f"{TOLERANCES['cond_limit']:.0e}; consider a gain boost")
+            f"{TOLERANCES['cond_limit']:.0e}; a gain boost keeps the eigenvectors, "
+            "so try other weights or gains (another design seed)")
     J2 = ev[nonkernel]
     if np.any(J2.real <= 0):
         raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
@@ -174,7 +202,7 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
     bound = math.inf if norm == 0 else 1.0 / norm
     # QJ2 + J2^H Q - 2I is exactly zero for diagonal J2 and Q = 1/Re(J2)
     lyap = float(np.abs(Q * J2 + np.conj(J2) * Q - 2.0).max())
-    return StabilityAnalysis(T, J2, Q, bound, lyap)
+    return StabilityAnalysis(T, J2, Q, bound, lyap, ev)
 
 
 @dataclass(frozen=True)
@@ -209,54 +237,35 @@ class SteadyStatePrediction:
         return self.drift
 
 
-def predict_steady_state(p0: np.ndarray, KL_tilde: np.ndarray,
-                         spec: MotionSpec, motion: MotionMatrices,
-                         shape: ReferenceShape) -> SteadyStatePrediction:
+def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePrediction:
     """Expand p(0) in the (generalized) eigenbasis of -K L~ and return the
     non-decaying part of the solution."""
-    n = KL_tilde.shape[0]
-    A = -KL_tilde
-    ones = np.ones(n, dtype=complex)
-    ev, V = np.linalg.eig(A)
-    s_coeff = motion.shape_coeff
-
-    if s_coeff != 0:
-        rate = spec.kappa_tilde * s_coeff
-        u = (motion.uniform_coeff / s_coeff) * ones + shape.p_star
-        im = int(np.argmin(np.abs(ev - rate)))
-        rest = np.delete(np.arange(n), im)
-        iz = rest[int(np.argmin(np.abs(ev[rest])))]
-        others = np.delete(np.arange(n), [im, iz])
-        W = np.column_stack([ones, u, V[:, others]])
-        case, basis_shape, drift = "moving", u, 0j
+    es, spec, shape = design.eigensystem, design.spec, design.shape
+    ones = np.ones(shape.n, dtype=complex)
+    if design.motion.shape_coeff != 0:
+        target, basis_shape = _moving_mode(design.motion, spec, shape)
+        case, rate = "moving", -target
     else:
         # kernel (possibly defective) handled analytically with {1, p*}
-        order = np.argsort(np.abs(ev))
-        W = np.column_stack([ones, shape.p_star, V[:, order[2:]]])
-        rate = 0j
-        basis_shape = shape.p_star
+        target, basis_shape, rate = None, shape.p_star, 0j
         case = "translation" if spec.v_star != 0 else "static"
+    rest = split_spectrum(es.values, target)[2:]
+    W = np.column_stack([ones, basis_shape, es.vectors[:, rest]])
     if np.linalg.cond(W) > TOLERANCES["cond_limit"]:
         raise ExpansionIllConditioned(
             f"eigenbasis condition number {np.linalg.cond(W):.2e}")
     coeff = np.linalg.solve(W, np.asarray(p0, dtype=complex))
-    c1 = complex(coeff[0])
-    if case == "moving":
-        c2 = complex(coeff[1])
-        drift = 0j
-    elif case == "translation":
+    c1, c2, drift = complex(coeff[0]), complex(coeff[1]), 0j
+    if case == "translation":
         # sign convention of the published solution: velocity = -c2 kappa~ kappa_t v*
-        c2 = -complex(coeff[1])
-        drift = complex(coeff[1]) * spec.kappa_tilde * spec.kappa_t * spec.v_star
-    else:
-        c2 = complex(coeff[1])
-        drift = 0j
+        c2, drift = -c2, c2 * spec.kappa_tilde * spec.kappa_t * spec.v_star
     return SteadyStatePrediction(c1, c2, case, ones, basis_shape, rate, drift)
 
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Everything the end-to-end design produces."""
+    """Everything the end-to-end design produces; `eigensystem` is the one
+    eigendecomposition of K L~ that verification and prediction read."""
 
     graph: FormationGraph
     shape: ReferenceShape
@@ -265,23 +274,27 @@ class DesignResult:
     motion: MotionMatrices
     modified: ModifiedLaplacian
     stability: StabilityAnalysis
+    eigensystem: Eigensystem
     spectral: Optional[SpectralReport]
     jordan: Optional[JordanReport]
     boost: float
 
     @property
     def KL_tilde(self) -> np.ndarray:
-        return np.diag(self.bundle.gains) @ self.modified.L_tilde
+        return self.eigensystem.matrix
 
 
 def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
                     seed: int = 0) -> DesignResult:
-    """Steps: synthesize weights and gains, build the motion matrices, bound
-    the speed gain (boosting the gains by the smallest power of two 2^k that
-    admits the requested kappa~), assemble L~ and verify the predicted
-    eigenstructure."""
+    """Steps: check the graph is 2-rooted, synthesize weights and gains,
+    build the motion matrices, bound the speed gain (boosting the gains by
+    the smallest power of two 2^k that admits the requested kappa~),
+    assemble L~ and verify the predicted eigenstructure."""
     stage = "weights"
     try:
+        feas = is_two_rooted(g)
+        if not feas.two_rooted:
+            raise NotTwoRooted(f"graph is not 2-rooted ({feas.reason})")
         weights = synthesize_weights(g, shape, seed)
         L = build_laplacian(g, weights)
         stage = "gains"
@@ -307,16 +320,16 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         gains = gains * boost
         stage = "modified"
         modified = modified_laplacian(g, L, gains, weights, motion, spec)
-        KL_tilde = np.diag(gains) @ modified.L_tilde
         stage = "verify"
+        es = eigensystem(np.diag(gains) @ modified.L_tilde)
         spectral = jordan = None
         if motion.shape_coeff != 0:
-            spectral = verify_motion_spectrum(KL_tilde, motion, spec, shape)
+            spectral = verify_motion_spectrum(es, motion, spec, shape)
         elif spec.is_translation_only:
-            jordan = verify_translation_jordan(KL_tilde, spec, shape)
+            jordan = verify_translation_jordan(es.matrix, spec, shape)
         bundle = LaplacianBundle(L=L, gains=gains, weights=weights)
         return DesignResult(g, shape, spec, bundle, motion, modified,
-                            stability, spectral, jordan, boost)
+                            stability, es, spectral, jordan, boost)
     except PipelineFailed:
         raise
     except Exception as exc:

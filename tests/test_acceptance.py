@@ -129,8 +129,7 @@ def test_criterion_05_motion_fidelity():
     pairwise = max(abs(vel[i] - vel[j]) for i, j in combinations(range(4), 2))
     assert pairwise < 1e-8 * np.abs(vel).max()
     p0 = initial_condition(cfg_t, shape)
-    predicted = predict_steady_state(p0, dt_.KL_tilde, spec_t, dt_.motion,
-                                     shape).steady_velocity
+    predicted = predict_steady_state(p0, dt_).steady_velocity
     assert np.abs(vel - predicted).max() < 1e-6 * abs(predicted)
     print(f"[criterion 05] motion fidelity: PASS "
           f"(omega error {abs(est.omega_hat - 0.025) / 0.025:.2e} rel, "

@@ -54,14 +54,25 @@ def test_report_round_trips(tmp_path):
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
 
 
+STAR = {"graph": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
+        "shape": [[0, 0], [1, 0], [0, 1], [-1, 0]]}
+# three triangles sharing node 1: every degree is >= 2, yet no 2-node root set
+WINDMILL = {"graph": {"n": 7, "edges": [[1, 2], [2, 3], [3, 1], [1, 4], [4, 5],
+                                        [5, 1], [1, 6], [6, 7], [7, 1]]},
+            "shape": [[0, 0], [2, 0.5], [1.5, 1.5], [-1, 2], [-2, 0.5],
+                      [-0.5, -2], [1.5, -1.5]]}
+
+
 def test_infeasible_graph_exit_1(tmp_path, capsys):
-    over = {"graph": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
-            "shape": [[0, 0], [1, 0], [0, 1], [-1, 0]]}
-    path = _write(tmp_path, "traveling_heading", over)
-    # drop the heading pair check interference: (1,2) is still an edge
-    code = main(["design", "--scenario", str(path), "--out", str(tmp_path)])
-    assert code == 1
-    assert "not 2-rooted" in capsys.readouterr().err
+    # every command runs the same pre-check before any weight is drawn
+    for over in (STAR, WINDMILL):
+        # drop the heading pair check interference: (1,2) is still an edge
+        path = _write(tmp_path, "traveling_heading", over)
+        for command in ("design", "simulate", "verify"):
+            code = main([command, "--scenario", str(path), "--out", str(tmp_path)])
+            assert code == 1
+            assert "not 2-rooted" in capsys.readouterr().err
+            assert not (tmp_path / "report.json").exists()
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

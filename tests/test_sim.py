@@ -312,6 +312,18 @@ def test_unstable_rk4_step_refused_before_stepping(square):
     exact_trajectory(d.modified.L_tilde, gains, cfg, shape)
 
 
+def test_rk4_preflight_once_per_integrate(monkeypatch):
+    # traveling_heading holds five setpoints; the n x n block is the same in all
+    sc = scenario_from_dict(builtin_scenario("traveling_heading"))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    calls = []
+    eig, eigvals = np.linalg.eig, np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(A) or eigvals(A))
+    monkeypatch.setattr(np.linalg, "eig", lambda A: calls.append(A) or eig(A))
+    integrate(d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape)
+    assert len(calls) == 1 and calls[0].shape == (4, 4)
+
+
 def test_overflowing_powers_do_not_flag_a_finite_state():
     # the growing mode is not excited; its high powers still overflow
     L_tilde = -np.diag([50.0, -1.0]).astype(complex)

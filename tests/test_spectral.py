@@ -7,15 +7,16 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed,
-                         SpectrumMismatch, build_laplacian, builtin_scenario,
-                         center_shape, compile_motion, design_pipeline,
-                         incidence_matrix, modified_laplacian,
-                         predict_steady_state, scenario_from_dict,
-                         stability_bound, synthesize_weights,
-                         verify_motion_spectrum, verify_translation_jordan)
+from lapmaneuver import (SCENARIO_NAMES, ChainBroken, FormationGraph,
+                         MotionSpec, PipelineFailed, SpectrumMismatch,
+                         build_laplacian, builtin_scenario, center_shape,
+                         compile_motion, design_pipeline, incidence_matrix,
+                         modified_laplacian, predict_steady_state,
+                         scenario_from_dict, stability_bound,
+                         synthesize_weights, verify_motion_spectrum,
+                         verify_translation_jordan)
 from lapmaneuver.shapes import TOLERANCES
-from lapmaneuver.spectral import MAX_BOOSTS
+from lapmaneuver.spectral import MAX_BOOSTS, eigensystem
 
 from conftest import random_instance, square_graph, square_shape
 
@@ -92,7 +93,69 @@ def test_broken_weights_detected(square):
     KLt = d.KL_tilde.copy()
     KLt[0, 1] += 1e-2
     with pytest.raises(SpectrumMismatch):
-        verify_motion_spectrum(KLt, d.motion, spec, shape)
+        verify_motion_spectrum(eigensystem(KLt), d.motion, spec, shape)
+
+
+def test_moved_shape_eigenvector_detected(square):
+    # S fixes 1 and keeps every eigenvalue, but bends the moving eigenvector
+    g, shape = square
+    spec = MotionSpec(omega=1.0, kappa_r=0.025)
+    d = _design(spec)
+    e12, e34 = np.array([1, -1, 0, 0]), np.array([0, 0, 1, -1])
+    S = np.eye(4) + 0.2 * np.outer(e12, e34)
+    S_inv = np.eye(4) - 0.2 * np.outer(e12, e34)
+    with pytest.raises(SpectrumMismatch, match="shape eigenvector"):
+        verify_motion_spectrum(eigensystem(S @ d.KL_tilde @ S_inv), d.motion,
+                               spec, shape)
+
+
+def test_translation_rank_deficit_detected(square):
+    # projecting out w orthogonal to {1, p*} keeps the chain, drops the rank
+    g, shape = square
+    spec = MotionSpec(v_star=1.0, kappa_t=0.05)
+    d = _design(spec)
+    q, _ = np.linalg.qr(np.column_stack([np.ones(4), shape.p_star]), mode="complete")
+    w = q[:, 2]
+    broken = d.KL_tilde @ (np.eye(4) - np.outer(w, w.conj()))
+    with pytest.raises(ChainBroken, match="rank 2"):
+        verify_translation_jordan(broken, spec, shape)
+
+
+@pytest.mark.parametrize("name, over", [(name, None) for name in SCENARIO_NAMES]
+                         + [("enclosing", {"motion": {"kappa_tilde": 20.0}})])
+def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
+    # eig/eigvals of K L~ and of the shipped K L, outside the gain search
+    import lapmaneuver.spectral as spectral
+    from lapmaneuver.cli import build_report
+
+    seen, searching = [], []
+    eig, eigvals = np.linalg.eig, np.linalg.eigvals
+    stabilize_gains = spectral.stabilize_gains
+
+    def counted(fn):
+        def wrapper(A):
+            if not searching:
+                seen.append(np.array(A))
+            return fn(A)
+        return wrapper
+
+    def gain_search(*args, **kwargs):
+        searching.append(True)
+        try:
+            return stabilize_gains(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(spectral, "stabilize_gains", gain_search)
+    monkeypatch.setattr(np.linalg, "eig", counted(eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counted(eigvals))
+    sc = scenario_from_dict(builtin_scenario(name, over))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    build_report(sc, d)
+    assert sum(np.array_equal(A, d.KL_tilde) for A in seen) == 1
+    assert sum(np.array_equal(A, d.bundle.KL) for A in seen) == 1
+    # a boosted design also bounds the unboosted gains once
+    assert len(seen) == 2 + (d.boost > 1)
 
 
 def test_zero_perturbation_unbounded(square):
@@ -159,7 +222,7 @@ def test_predict_pure_orbit(square):
     g, shape = square
     spec = MotionSpec(omega=1.0, kappa_r=0.025)
     d = _design(spec)
-    pred = predict_steady_state(shape.p_star, d.KL_tilde, spec, d.motion, shape)
+    pred = predict_steady_state(shape.p_star, d)
     assert abs(pred.c1) < 1e-10
     assert abs(pred.c2 - 1) < 1e-10
     assert pred.rate == pytest.approx(0.025j)
@@ -169,8 +232,7 @@ def test_predict_collocated_start(square):
     g, shape = square
     spec = MotionSpec(omega=1.0, kappa_r=0.025)
     d = _design(spec)
-    pred = predict_steady_state(np.ones(4, dtype=complex), d.KL_tilde, spec,
-                                d.motion, shape)
+    pred = predict_steady_state(np.ones(4, dtype=complex), d)
     assert abs(pred.c2) < 1e-10
 
 
@@ -180,7 +242,7 @@ def test_predict_matches_expm_oracle(square):
     d = _design(spec)
     rng = np.random.default_rng(6)
     p0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    pred = predict_steady_state(p0, d.KL_tilde, spec, d.motion, shape)
+    pred = predict_steady_state(p0, d)
     t = 100.0
     sim = scipy.linalg.expm(-d.KL_tilde * t) @ p0
     rel = np.linalg.norm(sim - pred.evaluate(t)) / np.linalg.norm(pred.evaluate(t))
@@ -193,7 +255,7 @@ def test_predict_translation_velocity(square):
     d = _design(spec)
     rng = np.random.default_rng(7)
     p0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    pred = predict_steady_state(p0, d.KL_tilde, spec, d.motion, shape)
+    pred = predict_steady_state(p0, d)
     t = 200.0
     sim = scipy.linalg.expm(-d.KL_tilde * t) @ p0
     rel = np.linalg.norm(sim - pred.evaluate(t)) / np.linalg.norm(pred.evaluate(t))
@@ -210,7 +272,7 @@ def test_predict_at_zero_reproduces_shape_component(square):
     d = _design(spec)
     rng = np.random.default_rng(9)
     p0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    pred = predict_steady_state(p0, d.KL_tilde, spec, d.motion, shape)
+    pred = predict_steady_state(p0, d)
     at0 = pred.evaluate(0.0)
     # the prediction at t=0 lies in S and the remainder is purely decaying
     basis = np.column_stack([np.ones(4), shape.p_star])
