@@ -14,8 +14,8 @@ from .errors import (ChainBroken, DegenerateShape, DegenerateWeights, Diverged,
 from .graphs import (FormationGraph, TwoRootedReport, incidence_matrix,
                      is_connected, is_two_rooted)
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
-                     combined_motion_matrix, compile_motion, modified_laplacian,
-                     motion_matrix, motion_parameters, velocity_field)
+                     compile_motion, modified_laplacian, motion_matrix,
+                     motion_parameters, velocity_field)
 from .scenarios import (SCENARIO_NAMES, Scenario, ScenarioResult,
                         builtin_scenario, load_scenario, run_scenario,
                         scenario_from_dict, simulate_scenario)

@@ -1,16 +1,18 @@
 """Command-line interface: design, simulate and verify scenario files.
 
-Exit codes: 0 ok, 1 infeasible design, 2 parse error or outputs that two
-scenario files would share, 3 diverged, 4 verification failure.
+Several `--scenario` files run one after another in one process, and the
+largest exit code wins. Exit codes: 0 ok, 1 infeasible design, 2 parse
+error (a malformed file, a non-finite number, a bad value) or outputs
+that two scenario files would share, 3 diverged, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +106,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def _load(path: str, seed) -> Scenario:
     sc = load_scenario(path)
-    if seed is not None:
-        sc = Scenario(**{**sc.__dict__, "design_seed": int(seed)})
-    return sc
+    return sc if seed is None else dataclasses.replace(sc, design_seed=seed)
 
 
 def cmd_design(path: str, out: Path, seed) -> int:
@@ -167,8 +167,7 @@ def _shared_output(command: str, paths: list, out: Path) -> Path | None:
     return None
 
 
-def _run_one(args) -> int:
-    cmd, path, out, seed = args
+def _run_one(cmd: str, path: str, out: Path, seed) -> int:
     handler = {"design": cmd_design, "simulate": cmd_simulate,
                "verify": cmd_verify}[cmd]
     try:
@@ -204,8 +203,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the design seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across scenario files")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -215,13 +212,7 @@ def main(argv=None) -> int:
               "give each its own output names or run them separately", file=sys.stderr)
         return EXIT_PARSE
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(args.command, path, out, args.seed) for path in args.scenario]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_run_one, tasks))
-    else:
-        codes = [_run_one(t) for t in tasks]
-    return max(codes)
+    return max(_run_one(args.command, path, out, args.seed) for path in args.scenario)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Motion parameter design: steady velocity fields, the per-motion matrices
-M_t, M_r, M_s, their gain-weighted combination, and the modified Laplacian.
+"""Motion parameter design: steady velocity fields, the combined motion
+parameters mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s, their matrix
+M~, and the modified Laplacian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -96,62 +97,32 @@ def motion_matrix(g: FormationGraph, mu: MuMap) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MotionMatrices:
-    """Per-motion matrices, their combination, and the coefficients of the
-    identity M~ B^T p* = uniform_coeff 1 + shape_coeff p*."""
+    """Combined motion parameters mu~, their matrix M~ = M(mu~), and the
+    coefficients of the identity M~ B^T p* = uniform_coeff 1 + shape_coeff p*."""
 
-    Mt: np.ndarray
-    Mr: np.ndarray
-    Ms: np.ndarray
     M_tilde: np.ndarray
-    mu_t: MuMap
-    mu_r: MuMap
-    mu_s: MuMap
+    mu_tilde: MuMap
     uniform_coeff: complex
     shape_coeff: complex
-
-    def mu_tilde(self, spec: MotionSpec) -> MuMap:
-        """Gain-weighted combined motion parameters."""
-        out: MuMap = {}
-        for gain, mu in ((spec.kappa_t, self.mu_t), (spec.kappa_r, self.mu_r),
-                         (spec.kappa_s, self.mu_s)):
-            for key, val in mu.items():
-                out[key] = out.get(key, 0j) + gain * val
-        return out
-
-
-def combined_motion_matrix(spec: MotionSpec, Mt: np.ndarray, Mr: np.ndarray,
-                           Ms: np.ndarray) -> np.ndarray:
-    return spec.kappa_t * Mt + spec.kappa_r * Mr + spec.kappa_s * Ms
 
 
 def compile_motion(g: FormationGraph, shape: ReferenceShape,
                    spec: MotionSpec) -> MotionMatrices:
-    """Build M_t, M_r, M_s from the split velocity field and combine them."""
-    p = shape.p_star
-    ones = np.ones(shape.n, dtype=complex)
-    if spec.center_agent is not None:
-        rel = p - p[spec.center_agent - 1]
-        vf_t = np.zeros(shape.n, dtype=complex)
-        vf_r = 1j * spec.omega * rel
-        vf_s = spec.a * rel
-        # relative-to-agent field = centroid field plus a uniform shift
-        uniform = -(spec.kappa_s * spec.a + 1j * spec.kappa_r * spec.omega) \
-            * p[spec.center_agent - 1]
-    else:
-        vf_t = spec.v_star * ones
-        vf_r = 1j * spec.omega * p
-        vf_s = spec.a * p
-        uniform = spec.kappa_t * spec.v_star
-    mu_t = motion_parameters(g, shape, vf_t)
-    mu_r = motion_parameters(g, shape, vf_r)
-    mu_s = motion_parameters(g, shape, vf_s)
-    Mt = motion_matrix(g, mu_t)
-    Mr = motion_matrix(g, mu_r)
-    Ms = motion_matrix(g, mu_s)
+    """Split the velocity field into translation, rotation and scaling, take
+    one mu per agent from each, and weight them by kappa_t, kappa_r, kappa_s."""
+    parts = ((spec.kappa_t, replace(spec, a=0.0, omega=0.0)),
+             (spec.kappa_r, replace(spec, v_star=0j, a=0.0)),
+             (spec.kappa_s, replace(spec, v_star=0j, omega=0.0)))
+    mu_tilde: MuMap = {}
+    for gain, part in parts:
+        mu = motion_parameters(g, shape, velocity_field(part, shape))
+        for key, val in mu.items():
+            mu_tilde[key] = mu_tilde.get(key, 0j) + gain * val
     shape_coeff = spec.kappa_s * spec.a + 1j * spec.kappa_r * spec.omega
-    return MotionMatrices(Mt, Mr, Ms,
-                          combined_motion_matrix(spec, Mt, Mr, Ms),
-                          mu_t, mu_r, mu_s,
+    # a relative-to-agent field is the centroid field plus a uniform shift
+    uniform = (spec.kappa_t * spec.v_star if spec.center_agent is None
+               else -shape_coeff * shape.p_star[spec.center_agent - 1])
+    return MotionMatrices(motion_matrix(g, mu_tilde), mu_tilde,
                           complex(uniform), complex(shape_coeff))
 
 
@@ -174,9 +145,8 @@ def modified_laplacian(g: FormationGraph, L: np.ndarray, gains: np.ndarray,
     Kinv = np.diag(1.0 / gains)
     L_tilde = L - spec.kappa_tilde * Kinv @ motion.M_tilde @ B.T
 
-    mu_tilde = motion.mu_tilde(spec)
     omega_tilde = dict(weights.omega)
-    for (i, j), mu in mu_tilde.items():
+    for (i, j), mu in motion.mu_tilde.items():
         omega_tilde[(i, j)] = omega_tilde.get((i, j), 0j) \
             - spec.kappa_tilde / gains[i - 1] * mu
     L_check = build_laplacian(g, WeightSet(omega_tilde))

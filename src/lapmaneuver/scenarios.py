@@ -1,16 +1,17 @@
 """Scenario files and the built-in application scenarios.
 
 A scenario is a flat JSON document: graph, reference shape, motion keys,
-simulation keys, seeds and output names. Built-ins cover target enclosing,
-inward/outward shaped consensus spirals and the heading-controlled
-traveling formation.
+simulation keys, seeds and output names. The built-ins are the package
+files `builtin/*.json` (target enclosing, inward/outward shaped consensus
+spirals and the heading-controlled traveling formation); the repository's
+`scenarios/` directory links to them.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from importlib.resources import files
 from typing import Optional
 
 import numpy as np
@@ -22,8 +23,9 @@ from .shapes import ReferenceShape, center_shape
 from .sim import HeadingControl, SimConfig, Trajectory, exact_trajectory, integrate
 from .spectral import DesignResult, design_pipeline
 
-SCENARIO_NAMES = ("enclosing", "shaped_consensus_inward", "spiral_outward",
-                  "traveling_heading")
+_BUILTIN = files(__package__).joinpath("builtin")
+SCENARIO_NAMES = tuple(sorted(f.name[:-5] for f in _BUILTIN.iterdir()
+                              if f.name.endswith(".json")))
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,15 @@ def _require(d: dict, key: str, ctx: str):
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """Parse a scenario document; every malformed entry raises ScenarioError."""
+    try:
+        return _parse(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(
+            f"malformed scenario ({type(exc).__name__}: {exc})") from exc
+
+
+def _parse(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     name = doc.get("name", "unnamed")
@@ -126,19 +137,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if method not in ("rk4", "exact"):
         raise ScenarioError(f"sim.method must be 'rk4' or 'exact', got {method!r}")
     out = doc.get("output", {})
+    names = out.get("report", "report.json"), out.get("trajectory", "trajectory.csv")
+    if not all(isinstance(s, str) for s in names):
+        raise ScenarioError(f"output names must be strings, got {names}")
     return Scenario(name=name, graph=graph, shape=shape, spec=spec, sim=sim,
                     design_seed=int(doc.get("seed", 0)), method=method,
-                    report_name=out.get("report", "report.json"),
-                    trajectory_name=out.get("trajectory", "trajectory.csv"))
+                    report_name=names[0], trajectory_name=names[1])
+
+
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
 
 
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}")
     return scenario_from_dict(doc)
 
@@ -155,61 +172,13 @@ def _deep_merge(base: dict, overrides: Optional[dict]) -> dict:
     return out
 
 
-def _square_graph() -> dict:
-    return {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]]}
-
-
-def _decagon_points() -> list:
-    r = 1.0 / (2.0 * math.sin(math.pi / 10))
-    return [[r * math.cos(2 * math.pi * k / 10), r * math.sin(2 * math.pi * k / 10)]
-            for k in range(10)]
-
-
 def builtin_scenario(name: str, overrides: Optional[dict] = None) -> dict:
-    """Scenario document for one of the built-in applications."""
-    if name == "enclosing":
-        doc = {
-            "name": name,
-            "graph": {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3],
-                                        [5, 1], [5, 2], [5, 3], [5, 4]]},
-            "shape": [[1, 1], [-1, 1], [-1, -1], [1, -1], [0.3, 0.1]],
-            "motion": {"omega": 1.0, "kappa_r": 0.025, "kappa_tilde": 1.0,
-                       "rotation_center": 5},
-            "sim": {"dt": 0.01, "t_end": 250.0, "seed": 7, "sample_stride": 10},
-            "seed": 0,
-        }
-    elif name in ("shaped_consensus_inward", "spiral_outward"):
-        a = -1.0 if name == "shaped_consensus_inward" else 1.0
-        doc = {
-            "name": name,
-            "graph": {"n": 10, "edges": [[k + 1, (k + 1) % 10 + 1] for k in range(10)]},
-            "shape": _decagon_points(),
-            "motion": {"a": a, "omega": 1.0, "kappa_r": 0.025, "kappa_s": 0.025,
-                       "kappa_tilde": 1.0},
-            "sim": {"dt": 0.01,
-                    "t_end": 400.0 if a < 0 else 250.0,
-                    "seed": 7, "sample_stride": 10},
-            "seed": 0,
-        }
-    elif name == "traveling_heading":
-        z0 = 2.0  # p*_1 - p*_2 for the unit square below
-        sched = [{"until": 50.0 * (k + 1),
-                  "re": z0 * math.cos(k * math.pi / 4) * (4.0 if k == 4 else 1.0),
-                  "im": z0 * math.sin(k * math.pi / 4) * (4.0 if k == 4 else 1.0)}
-                 for k in range(5)]
-        doc = {
-            "name": name,
-            "graph": _square_graph(),
-            "shape": [[1, 1], [-1, 1], [-1, -1], [1, -1]],
-            "motion": {"v_star_re": 1.0, "kappa_t": 0.05, "kappa_tilde": 1.0},
-            "sim": {"dt": 0.01, "t_end": 250.0, "seed": 7, "sample_stride": 10,
-                    "heading_control": {"agent": 1, "neighbor": 2, "gain": 1.0,
-                                        "schedule": sched}},
-            "seed": 0,
-        }
-    else:
+    """Scenario document of one of the built-in applications: the shipped
+    file `builtin/<name>.json` with `overrides` merged in."""
+    if name not in SCENARIO_NAMES:
         raise ScenarioError(
             f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    doc = json.loads(_BUILTIN.joinpath(f"{name}.json").read_text())
     return _deep_merge(doc, overrides)
 
 

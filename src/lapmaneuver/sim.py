@@ -63,10 +63,10 @@ class SimConfig:
     heading: Optional[HeadingControl] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.dt <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and at least dt")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

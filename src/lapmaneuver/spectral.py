@@ -72,7 +72,6 @@ def _moving_mode(motion: MotionMatrices, spec: MotionSpec, shape: ReferenceShape
 class SpectralReport:
     """Moving-mode eigenstructure of K L~ (rotation/scaling case)."""
 
-    eigenvalues: np.ndarray
     moving_eigenvalue: complex
     moving_target: complex
     moving_residual: float
@@ -100,7 +99,6 @@ def verify_motion_spectrum(es: Eigensystem, motion: MotionMatrices,
     alg = float(np.linalg.norm(KL_tilde @ u - target * u)
                 / (np.linalg.norm(KL_tilde, 2) * np.linalg.norm(u)))
     report = SpectralReport(
-        eigenvalues=ev,
         moving_eigenvalue=complex(ev[im]),
         moving_target=complex(target),
         moving_residual=moving_residual,
@@ -130,7 +128,6 @@ class JordanReport:
     kernel_residual: float
     squared_residual: float
     rank: int
-    geometric_multiplicity_ok: bool
 
 
 def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
@@ -147,7 +144,7 @@ def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
     r_sq = float(np.linalg.norm(KL_tilde @ (KL_tilde @ shape.p_star)))
     s = np.linalg.svd(KL_tilde, compute_uv=False)
     rank = int(np.sum(s > TOLERANCES["jordan_rank_sv_rel"] * s[0]))
-    report = JordanReport(r_chain, r_kernel, r_sq, rank, rank == n - 1)
+    report = JordanReport(r_chain, r_kernel, r_sq, rank)
     tol = TOLERANCES["jordan_rel"]
     if r_chain > tol * scale or r_kernel > tol * scale or rank != n - 1:
         raise ChainBroken(
@@ -158,14 +155,11 @@ def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
 
 @dataclass(frozen=True)
 class StabilityAnalysis:
-    """Similarity transform, Lyapunov certificate and the speed gain bound,
-    with the full spectrum of the KL they certify."""
+    """Similarity transform and the speed gain bound, with the full spectrum
+    of the KL they certify."""
 
     T: np.ndarray
-    J2: np.ndarray
-    Q: np.ndarray
     kappa_tilde_max: float
-    lyapunov_residual: float
     eigenvalues: np.ndarray
 
 
@@ -200,9 +194,7 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
     pert = np.linalg.solve(T, M_tilde @ B.T @ T)[2:, 2:]
     norm = np.linalg.norm(np.diag(Q) @ pert, 2)
     bound = math.inf if norm == 0 else 1.0 / norm
-    # QJ2 + J2^H Q - 2I is exactly zero for diagonal J2 and Q = 1/Re(J2)
-    lyap = float(np.abs(Q * J2 + np.conj(J2) * Q - 2.0).max())
-    return StabilityAnalysis(T, J2, Q, bound, lyap, ev)
+    return StabilityAnalysis(T, bound, ev)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -91,6 +92,47 @@ def test_bad_key_exit_2(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "edges" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "graph n not a number": lambda d: d["graph"].update(n="four"),
+    "rotation_center not an agent": lambda d: d["motion"].update(rotation_center="foo"),
+    "seed not a number": lambda d: d.update(seed="x"),
+    "heading agent not an integer":
+        lambda d: d["sim"]["heading_control"].update(agent="one"),
+    "schedule entry without re":
+        lambda d: d["sim"]["heading_control"]["schedule"][0].pop("re"),
+    "string in initial_condition": lambda d: d["sim"].update(
+        initial_condition=[[1, 1], ["a", 1], [-1, -1], [1, -1]]),
+    "output as a list": lambda d: d.update(output=["report.json"]),
+    "output name not a string": lambda d: d.update(output={"report": 5}),
+    "motion as a list": lambda d: d.update(motion=[1.0]),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_exit_2(tmp_path, capsys, mutate):
+    doc = builtin_scenario("traveling_heading")
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for command in ("design", "simulate", "verify"):
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
+@pytest.mark.parametrize("over", [{"sim": {"dt": math.nan}},
+                                  {"sim": {"t_end": math.inf}},
+                                  {"motion": {"kappa_tilde": math.nan}},
+                                  {"motion": {"omega": math.inf}},
+                                  {"motion": {"omega": -math.inf}}])
+def test_non_finite_number_exit_2(tmp_path, capsys, over):
+    path = _write(tmp_path, "enclosing", over)  # json.dumps writes NaN, Infinity
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "non-finite number" in capsys.readouterr().err
 
 
 def test_divergence_exit_3(tmp_path, capsys):
@@ -186,17 +228,6 @@ def test_multiple_scenarios_worst_exit(tmp_path):
     code = main(["design", "--scenario", str(good), "--scenario", str(bad),
                  "--out", str(tmp_path)])
     assert code == 2
-
-
-def test_parallel_jobs(tmp_path):
-    a = _write(tmp_path, "enclosing",
-               {"output": {"report": "a.json"}, **FAST}, fname="a_sc.json")
-    b = _write(tmp_path, "spiral_outward",
-               {"output": {"report": "b.json"}, **FAST}, fname="b_sc.json")
-    code = main(["design", "--scenario", str(a), "--scenario", str(b),
-                 "--out", str(tmp_path), "--jobs", "2"])
-    assert code == 0
-    assert (tmp_path / "a.json").exists() and (tmp_path / "b.json").exists()
 
 
 def _per_cell_csv(traj, path):

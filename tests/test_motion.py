@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lapmaneuver import (FormationGraph, MotionSpec, build_laplacian,
-                         center_shape, combined_motion_matrix, compile_motion,
-                         incidence_matrix, modified_laplacian, motion_matrix,
-                         motion_parameters, synthesize_weights, velocity_field)
+                         center_shape, compile_motion, incidence_matrix,
+                         modified_laplacian, motion_matrix, motion_parameters,
+                         synthesize_weights, velocity_field)
 
 from conftest import random_instance, square_graph, square_shape
 
@@ -121,12 +121,20 @@ def test_combined_matrix_gains(square):
     spec = MotionSpec(v_star=0.5, a=-0.2, omega=0.7,
                       kappa_t=0.1, kappa_r=0.3, kappa_s=0.2)
     mm = compile_motion(g, shape, spec)
-    assert np.allclose(mm.M_tilde, 0.1 * mm.Mt + 0.3 * mm.Mr + 0.2 * mm.Ms)
-    zero = combined_motion_matrix(MotionSpec(), mm.Mt, mm.Mr, mm.Ms)
-    assert np.all(zero == 0)
-    only_r = combined_motion_matrix(
-        MotionSpec(omega=1.0, kappa_r=1.0), mm.Mt, mm.Mr, mm.Ms)
-    assert np.allclose(only_r, mm.Mr)
+    assert np.array_equal(mm.M_tilde, motion_matrix(g, mm.mu_tilde))
+    # mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s, each mu from its own field
+    p = shape.p_star
+    weighted: dict = {}
+    for gain, field in ((0.1, 0.5 * np.ones(4)), (0.3, 0.7j * p), (0.2, -0.2 * p)):
+        for key, mu in motion_parameters(g, shape, field).items():
+            weighted[key] = weighted.get(key, 0j) + gain * mu
+    assert mm.mu_tilde.keys() == weighted.keys()
+    for key, mu in weighted.items():
+        assert mm.mu_tilde[key] == pytest.approx(mu, rel=1e-14)
+    assert np.all(compile_motion(g, shape, MotionSpec()).M_tilde == 0)
+    only_r = compile_motion(g, shape, MotionSpec(omega=1.0, kappa_r=1.0))
+    assert np.allclose(only_r.M_tilde,
+                       motion_matrix(g, motion_parameters(g, shape, 1j * p)))
 
 
 def test_decomposition_identity(square):

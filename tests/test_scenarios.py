@@ -1,11 +1,14 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lapmaneuver import (SCENARIO_NAMES, ScenarioError, builtin_scenario,
-                         load_scenario, run_scenario, scenario_from_dict,
-                         shape_error_series, simulate_scenario)
+from lapmaneuver import (SCENARIO_NAMES, ScenarioError, SimConfig,
+                         builtin_scenario, load_scenario, run_scenario,
+                         scenario_from_dict, shape_error_series,
+                         simulate_scenario)
 
 
 def test_builtin_names_all_parse():
@@ -13,6 +16,13 @@ def test_builtin_names_all_parse():
         sc = scenario_from_dict(builtin_scenario(name))
         assert sc.name == name
         assert sc.graph.n == sc.shape.n
+
+
+def test_builtins_are_the_shipped_files():
+    files = sorted(Path(__file__).parents[1].joinpath("scenarios").glob("*.json"))
+    assert SCENARIO_NAMES == tuple(f.stem for f in files)
+    for f in files:
+        assert builtin_scenario(f.stem) == json.loads(f.read_text())
 
 
 def test_builtin_unknown_name():
@@ -88,6 +98,16 @@ def test_load_scenario_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="line"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("key, value", [("dt", math.nan), ("dt", math.inf),
+                                        ("t_end", math.inf), ("t_end", math.nan)])
+def test_non_finite_sim_times_rejected(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be .*finite"):
+        SimConfig(**{"dt": 0.01, "t_end": 1.0, key: value})
+    doc = builtin_scenario("enclosing", {"sim": {key: value}})
+    with pytest.raises(ScenarioError, match="finite"):
+        scenario_from_dict(doc)
 
 
 def test_run_deterministic():
