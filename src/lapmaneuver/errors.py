@@ -22,7 +22,7 @@ class DegenerateWeights(FormationError):
 
 
 class StabilizationFailed(FormationError):
-    """Gain search exhausted its budget without stabilizing the spectrum."""
+    """The gain ascent used its step budget without reaching the margin."""
 
 
 class ZeroEdgeVector(FormationError):

@@ -37,6 +37,9 @@ class MotionSpec:
     center_agent: Optional[int] = None
 
     def __post_init__(self):
+        if not np.isfinite([self.v_star, self.a, self.omega, self.kappa_t,
+                            self.kappa_r, self.kappa_s, self.kappa_tilde]).all():
+            raise ValueError("motion parameters must be finite")
         for name in ("kappa_t", "kappa_r", "kappa_s", "kappa_tilde"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

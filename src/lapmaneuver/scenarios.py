@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib.resources import files
+from numbers import Real
 from typing import Optional
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import DegenerateShape, ScenarioError
 from .graphs import FormationGraph
 from .motion import MotionSpec
 from .shapes import ReferenceShape, center_shape
@@ -47,11 +48,18 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
+def _integer(value, key: str) -> int:
+    """An integer-valued number as an int; 4.7 or "4" is refused, not truncated."""
+    if not isinstance(value, Real) or not float(value).is_integer():
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Parse a scenario document; every malformed entry raises ScenarioError."""
     try:
         return _parse(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, DegenerateShape) as exc:
         raise ScenarioError(
             f"malformed scenario ({type(exc).__name__}: {exc})") from exc
 
@@ -61,18 +69,13 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     name = doc.get("name", "unnamed")
     gd = _require(doc, "graph", "scenario")
-    n = int(_require(gd, "n", "graph"))
+    n = _integer(_require(gd, "n", "graph"), "graph.n")
     edges = _require(gd, "edges", "graph")
-    try:
-        graph = FormationGraph(n, tuple((int(i), int(j)) for i, j in edges))
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"invalid graph.edges: {exc}") from exc
+    graph = FormationGraph(n, tuple(tuple(_integer(v, "graph.edges") for v in e)
+                                    for e in edges))
 
     pts = _require(doc, "shape", "scenario")
-    try:
-        raw = np.array([complex(x, y) for x, y in pts])
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"invalid shape points: {exc}") from exc
+    raw = np.array([complex(x, y) for x, y in pts])
     if raw.size != n:
         raise ScenarioError(f"shape has {raw.size} points for n={n} nodes")
     shape = center_shape(raw)
@@ -82,7 +85,7 @@ def _parse(doc: dict) -> Scenario:
     if center == "centroid":
         center_agent = None
     else:
-        center_agent = int(center)
+        center_agent = _integer(center, "motion.rotation_center")
         if not 1 <= center_agent <= n:
             raise ScenarioError(f"motion.rotation_center {center_agent} out of range")
     try:
@@ -103,8 +106,9 @@ def _parse(doc: dict) -> Scenario:
     heading = None
     hd = sd.get("heading_control")
     if hd is not None:
-        agent = int(_require(hd, "agent", "heading_control"))
-        neighbor = int(_require(hd, "neighbor", "heading_control"))
+        agent, neighbor = (
+            _integer(_require(hd, k, "heading_control"), f"heading_control.{k}")
+            for k in ("agent", "neighbor"))
         if not (1 <= agent <= n and 1 <= neighbor <= n):
             raise ScenarioError("heading_control agent/neighbor out of range")
         if frozenset((agent, neighbor)) not in graph.edges:
@@ -124,10 +128,10 @@ def _parse(doc: dict) -> Scenario:
             dt=float(sd.get("dt", 1e-3)),
             t_end=float(sd.get("t_end", 10.0)),
             p0=p0,
-            seed=int(sd.get("seed", 0)),
+            seed=_integer(sd.get("seed", 0), "sim.seed"),
             box_factor=float(sd.get("box_factor", 2.0)),
             divergence_threshold=float(sd.get("divergence_threshold", 1e9)),
-            sample_stride=int(sd.get("sample_stride", 1)),
+            sample_stride=_integer(sd.get("sample_stride", 1), "sim.sample_stride"),
             heading=heading,
         )
     except ValueError as exc:
@@ -141,7 +145,7 @@ def _parse(doc: dict) -> Scenario:
     if not all(isinstance(s, str) for s in names):
         raise ScenarioError(f"output names must be strings, got {names}")
     return Scenario(name=name, graph=graph, shape=shape, spec=spec, sim=sim,
-                    design_seed=int(doc.get("seed", 0)), method=method,
+                    design_seed=_integer(doc.get("seed", 0), "seed"), method=method,
                     report_name=names[0], trajectory_name=names[1])
 
 

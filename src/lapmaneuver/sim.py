@@ -3,9 +3,10 @@
 The loop is linear; heading control adds an affine term, constant while a
 setpoint holds. Per such segment a step is one matrix S on [p; 1]: the RK4
 polynomial R(dt X) (`integrate`) or expm(dt X) (`exact_trajectory`, the
-oracle). One loop applies S by a table of its powers, one product per chunk
-of steps, and checks every step for divergence. `integrate` first raises
-StepUnstable, naming the largest stable dt, for a step outside RK4's region.
+oracle). One loop builds a block of states [S x, ..., S^m x] by doubling,
+steps each later block by S^m, one product per block, and checks every step
+for divergence. `integrate` first raises StepUnstable, naming the largest
+stable dt, for a step outside RK4's region.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.linalg import expm
 from .errors import Diverged, NotConverged, StepUnstable, ZeroState
 from .shapes import TOLERANCES, ReferenceShape
 
-_TABLE_BYTES = 256 * 1024  # bound on one segment's table of step-map powers
+_TABLE_BYTES = 256 * 1024  # bound on one block of states
 _RK4 = (1 / 24, 1 / 6, 1 / 2, 1, 1)  # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
 
 
@@ -143,17 +144,6 @@ def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
     return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4) / 3) / 2)
 
 
-def _power_table(S: np.ndarray, steps: int) -> np.ndarray:
-    """[S, ..., S^m], m <= steps in _TABLE_BYTES, cut before an overflowed power."""
-    m = max(1, min(steps, _TABLE_BYTES // S.nbytes))
-    table = np.empty((m,) + S.shape, dtype=complex)
-    table[0] = S
-    for j in range(1, m):
-        np.matmul(table[j - 1], S, out=table[j])
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=(1, 2)))
-    return table[:max(1, bad[0])] if bad.size else table
-
-
 @np.errstate(over="ignore", invalid="ignore")  # non-finite states raise Diverged
 def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
          shape: ReferenceShape, step_map, preflight) -> Trajectory:
@@ -177,18 +167,23 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     for k0, k1 in zip(starts, np.append(starts[1:], steps)):
         if h is not None:
             X[h.agent - 1, n] = h.gain * h.schedule[seg[k0]][1]
-        table = _power_table(step_map(X, dt), k1 - k0)
-        for k in range(k0, k1, len(table)):
-            c = min(len(table), k1 - k)
-            states = (table[:c].reshape(-1, n + 1) @ x).reshape(c, n + 1)
+        S = step_map(X, dt)
+        states, P = (S @ x)[None], S  # the states 1..m steps on, and S^m
+        while len(states) < k1 - k0 and 2 * states.nbytes <= _TABLE_BYTES \
+                and np.isfinite(P2 := P @ P).all():  # stop before a non-finite power
+            states = np.concatenate([states, states[:k1 - k0 - len(states)] @ P.T])
+            P = P2
+        for k in range(k0, k1, len(states)):
+            if k > k0:
+                states = states[:k1 - k] @ P.T
             p = states[:, :n]
             bad = ~np.isfinite(p).all(1) | (np.abs(p).max(1) > cfg.divergence_threshold)
             if bad.any():
                 raise Diverged("state norm exceeded threshold at "
                                f"t={(k + 1 + np.argmax(bad)) * dt:.3f}")
-            i0, i1 = np.searchsorted(keep, (k, k + c), side="right")
+            i0, i1 = np.searchsorted(keep, (k, k + len(p)), side="right")
             samples[i0:i1] = p[keep[i0:i1] - k - 1]
-            x = states[-1]
+        x = states[-1]
     return Trajectory(keep * dt, samples)
 
 

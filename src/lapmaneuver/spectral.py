@@ -21,7 +21,8 @@ from .graphs import FormationGraph, incidence_matrix, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
 from .shapes import (TOLERANCES, LaplacianBundle, ReferenceShape,
-                     build_laplacian, stabilize_gains, synthesize_weights)
+                     build_laplacian, split_spectrum, stabilize_gains,
+                     synthesize_weights)
 
 MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 
@@ -44,19 +45,6 @@ class Eigensystem:
 
 def eigensystem(A: np.ndarray) -> Eigensystem:
     return Eigensystem(A, *np.linalg.eig(A))
-
-
-def split_spectrum(ev: np.ndarray, target: Optional[complex] = None) -> np.ndarray:
-    """Eigenvalue indices of KL or K L~, the pair spanning the shape plane
-    first: without a target the two smallest |lambda|, all in ascending
-    |lambda|; with one, the eigenvalue nearest it (moving) and the smallest
-    remaining |lambda| (kernel), the rest in eig's order."""
-    if target is None:
-        return np.argsort(np.abs(ev))
-    im = int(np.argmin(np.abs(ev - target)))
-    rest = np.delete(np.arange(ev.size), im)
-    k = int(np.argmin(np.abs(ev[rest])))
-    return np.concatenate([[im, rest[k]], np.delete(rest, k)])
 
 
 def _moving_mode(motion: MotionMatrices, spec: MotionSpec, shape: ReferenceShape):
@@ -185,7 +173,7 @@ def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
         raise NonDiagonalizable(
             f"eigenvector basis condition number {cond:.2e} exceeds "
             f"{TOLERANCES['cond_limit']:.0e}; a gain boost keeps the eigenvectors, "
-            "so try other weights or gains (another design seed)")
+            "so try other weights (another design seed)")
     J2 = ev[nonkernel]
     if np.any(J2.real <= 0):
         raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
@@ -290,7 +278,7 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         weights = synthesize_weights(g, shape, seed)
         L = build_laplacian(g, weights)
         stage = "gains"
-        gains = stabilize_gains(L, shape, seed=seed)
+        gains = stabilize_gains(L, shape)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
         B = incidence_matrix(g)

@@ -41,6 +41,23 @@ def random_instance(n: int, seed: int):
             return g, shape
 
 
+def ring_chord(n: int, irregularity_seed: int = 3):
+    """Ring 1-2-...-n-1 plus a chord from every fourth node to the opposite
+    one, on a regular n-gon with unit edges and a 5% irregularity drawn from
+    default_rng([irregularity_seed, n]) (seed 3 is the benchmark sweep's)."""
+    edges = [(k + 1, (k + 1) % n + 1) for k in range(n)]
+    present = {frozenset(e) for e in edges}
+    for i in range(0, n, 4):
+        e = (i + 1, (i + n // 2) % n + 1)
+        if frozenset(e) not in present:
+            edges.append(e)
+            present.add(frozenset(e))
+    rng = np.random.default_rng([irregularity_seed, n])
+    pts = np.exp(2j * np.pi * np.arange(n) / n) / (2.0 * np.sin(np.pi / n))
+    pts = pts + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return FormationGraph(n, tuple(edges)), center_shape(pts)
+
+
 @pytest.fixture
 def square():
     return square_graph(), square_shape()

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lapmaneuver import SpectrumMismatch, Trajectory, builtin_scenario, run_scenario
+from lapmaneuver import (SpectrumMismatch, Trajectory, builtin_scenario,
+                         design_pipeline, load_scenario, run_scenario)
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
 
@@ -123,6 +124,15 @@ def test_malformed_file_exit_2(tmp_path, capsys, mutate):
     assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
 
 
+def test_degenerate_shape_exit_2(tmp_path, capsys):
+    # five coincident points: a parse error, not a DegenerateShape traceback
+    path = _write(tmp_path, "enclosing", {"shape": [[1, 1]] * 5})
+    for command in ("design", "simulate", "verify"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
 @pytest.mark.parametrize("over", [{"sim": {"dt": math.nan}},
                                   {"sim": {"t_end": math.inf}},
                                   {"motion": {"kappa_tilde": math.nan}},
@@ -174,17 +184,20 @@ def test_verify_warns_above_bound(tmp_path, capsys):
 def test_verify_checks_the_shipped_design(tmp_path, capsys):
     # verify certifies the boosted gains that design writes, and still warns
     path = _write(tmp_path, "enclosing", {"motion": {"kappa_tilde": 20.0}})
+    sc = load_scenario(path)
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    bound = f"{d.stability.kappa_tilde_max:.4g}"
     assert main(["design", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["tolerances"] == TOLERANCES  # the table the code reads
-    assert report["gain_boost"] == 2.0
-    assert f"{report['kappa_tilde_max']:.4g}" == "26.5"
+    assert report["gain_boost"] == d.boost > 1
+    assert f"{report['kappa_tilde_max']:.4g}" == bound
     capsys.readouterr()
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "PASS perturbation-bound: kappa_tilde_max 26.5 (gain boost 2)" in out
-    assert f"bound {report['kappa_tilde_max'] / 2:.4g} of the unboosted gains" in out
-    assert "doubled 1 time(s)" in out
+    assert f"PASS perturbation-bound: kappa_tilde_max {bound} (gain boost {d.boost:g})" in out
+    assert f"bound {report['kappa_tilde_max'] / d.boost:.4g} of the unboosted gains" in out
+    assert f"doubled {int(math.log2(d.boost))} time(s)" in out
 
 
 def test_verify_infeasible_graph_exit_1(tmp_path, capsys):

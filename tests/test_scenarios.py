@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lapmaneuver import (SCENARIO_NAMES, ScenarioError, SimConfig,
+from lapmaneuver import (SCENARIO_NAMES, MotionSpec, ScenarioError, SimConfig,
                          builtin_scenario, load_scenario, run_scenario,
                          scenario_from_dict, shape_error_series,
                          simulate_scenario)
@@ -108,6 +108,42 @@ def test_non_finite_sim_times_rejected(key, value):
     doc = builtin_scenario("enclosing", {"sim": {key: value}})
     with pytest.raises(ScenarioError, match="finite"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, over", [
+    ("graph.n", {"graph": {"n": 4.7}}),
+    ("graph.edges", {"graph": {"edges": [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3.5]]}}),
+    ("motion.rotation_center", {"motion": {"rotation_center": 1.5}}),
+    ("heading_control.agent", {"sim": {"heading_control": {"agent": 1.2}}}),
+    ("heading_control.neighbor", {"sim": {"heading_control": {"neighbor": 2.5}}}),
+    ("seed", {"seed": 1.9}),
+    ("sim.seed", {"sim": {"seed": 1.9}}),
+    ("sim.sample_stride", {"sim": {"sample_stride": 2.5}}),
+])
+def test_non_integral_numbers_rejected(key, over):
+    # int() would truncate these silently: n = 4.7 to 4, seed = 1.9 to 1
+    with pytest.raises(ScenarioError, match=rf"^{key} must be an integer"):
+        scenario_from_dict(builtin_scenario("traveling_heading", over))
+
+
+def test_integral_floats_accepted():
+    sc = scenario_from_dict(builtin_scenario(
+        "traveling_heading", {"graph": {"n": 4.0}, "seed": 3.0, "sim": {"seed": 2.0}}))
+    assert (sc.graph.n, sc.design_seed, sc.sim.seed) == (4, 3, 2)
+    assert all(type(v) is int for v in (sc.graph.n, sc.design_seed, sc.sim.seed))
+
+
+@pytest.mark.parametrize("key", ["a", "omega", "v_star", "kappa_t", "kappa_r",
+                                 "kappa_s", "kappa_tilde"])
+def test_non_finite_motion_rejected(key):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MotionSpec(**{key: value})
+
+
+def test_non_finite_motion_is_a_parse_error():
+    with pytest.raises(ScenarioError, match="finite"):
+        run_scenario("enclosing", {"motion": {"kappa_tilde": math.nan}})
 
 
 def test_run_deterministic():

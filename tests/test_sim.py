@@ -14,7 +14,7 @@ from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
                          integrate, measure_motion, scenario_from_dict,
                          shape_error, shape_error_series)
 
-from conftest import square_graph, square_shape
+from conftest import ring_chord, square_graph, square_shape
 
 
 def _design(spec, seed=0):
@@ -338,6 +338,19 @@ def test_overflowing_powers_do_not_flag_a_finite_state():
             assert traj.states[-1, 1] == pytest.approx(np.exp(-20.0), rel=1e-6)
 
 
+def test_later_blocks_step_by_a_finite_power():
+    # 20000 steps: blocks after the first are stepped by S^m, and S^2048
+    # already overflows in the growing mode, so m must stop below it
+    L_tilde = -np.diag([50.0, -1.0]).astype(complex)
+    cfg = SimConfig(dt=0.01, t_end=200.0, p0=np.array([0, 1], dtype=complex),
+                    sample_stride=1000)
+    shape = center_shape([1.0, -1.0])
+    for run in (integrate, exact_trajectory):
+        traj = run(L_tilde, np.ones(2, dtype=complex), cfg, shape)
+        assert np.all(traj.states[:, 0] == 0)
+        assert traj.states[-1, 1] == pytest.approx(np.exp(-200.0), rel=1e-5)
+
+
 @st.composite
 def _stable_runs(draw):
     n = draw(st.integers(2, 12))
@@ -366,3 +379,18 @@ def test_step_maps_match_per_step_loops_property(run):
     args = (L_tilde, np.ones(shape.n, dtype=complex), cfg, shape)
     _assert_same_run(integrate(*args), _per_step_reference(*args))
     _assert_same_run(exact_trajectory(*args), _per_step_reference(*args, exact=True))
+
+
+@pytest.mark.parametrize("n, motion", [
+    (8, MotionSpec(omega=1.0, kappa_r=0.025)),
+    (16, MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025)),
+    (24, MotionSpec(v_star=1.0, kappa_t=0.05)),
+    (32, MotionSpec(omega=1.0, kappa_r=0.025)),
+    (40, MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025))])
+def test_rk4_accepts_the_sweep_designs_at_dt_001(n, motion):
+    # the benchmark sweep's designs; random-walk gains forced boosts of up to
+    # 2048 there, and the RK4 pre-flight refused four of the five at dt = 0.01
+    g, shape = ring_chord(n)
+    d = design_pipeline(g, shape, motion)
+    cfg = SimConfig(dt=0.01, t_end=0.01, seed=n)
+    integrate(d.modified.L_tilde, d.bundle.gains, cfg, shape)

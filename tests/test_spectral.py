@@ -18,7 +18,7 @@ from lapmaneuver import (SCENARIO_NAMES, ChainBroken, FormationGraph,
 from lapmaneuver.shapes import TOLERANCES
 from lapmaneuver.spectral import MAX_BOOSTS, eigensystem, split_spectrum
 
-from conftest import random_instance, square_graph, square_shape
+from conftest import random_instance, ring_chord, square_graph, square_shape
 
 
 def _design(spec, g=None, shape=None, seed=0):
@@ -123,7 +123,7 @@ def test_translation_rank_deficit_detected(square):
 @pytest.mark.parametrize("name, over", [(name, None) for name in SCENARIO_NAMES]
                          + [("enclosing", {"motion": {"kappa_tilde": 20.0}})])
 def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
-    # eig/eigvals of K L~ and of the shipped K L, outside the gain search
+    # eig/eigvals of K L~ and of the shipped K L, outside gain synthesis
     import lapmaneuver.spectral as spectral
     from lapmaneuver.cli import build_report
 
@@ -291,6 +291,21 @@ def test_random_instances_verify(square):
         assert d.spectral.others_stable
 
 
+def test_ring_chord_48_designs():
+    # the benchmark sweep's n = 48 instance, which a random search over gains
+    # never stabilized
+    g, shape = ring_chord(48)
+    d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025))
+    assert d.spectral.others_stable
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ring_chord_64_designs(seed):
+    g, shape = ring_chord(64)
+    d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=seed)
+    assert d.spectral.others_stable
+
+
 @pytest.mark.parametrize("key, value, stage", [("spectrum_rel", 1e-30, "verify"),
                                                ("cond_limit", 1.0, "stability")])
 def test_pipeline_reads_the_tolerance_table(square, monkeypatch, key, value, stage):
@@ -313,12 +328,14 @@ def test_boost_is_capped_at_max_boosts(square):
 
 def test_certificate_is_computed_on_the_shipped_gains():
     # here the bound of 2K differs from twice the bound of K in the last bits
-    sc = scenario_from_dict(builtin_scenario("enclosing", {"motion": {"kappa_tilde": 20.0}}))
-    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
-    fresh = stability_bound(d.bundle.KL, d.motion.M_tilde, incidence_matrix(sc.graph),
-                            sc.shape)
+    g, shape = random_instance(5, seed=6)
+    b1 = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025),
+                         seed=6).stability.kappa_tilde_max
+    d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=1.5 * b1),
+                        seed=6)
+    fresh = stability_bound(d.bundle.KL, d.motion.M_tilde, incidence_matrix(g), shape)
     assert d.boost == 2.0
-    assert d.stability.kappa_tilde_max == fresh.kappa_tilde_max
+    assert d.stability.kappa_tilde_max == fresh.kappa_tilde_max != 2.0 * b1
 
 
 _MOTIONS = (MotionSpec(omega=1.0, kappa_r=0.025),
