@@ -19,14 +19,14 @@ from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
 from .scenarios import (SCENARIO_NAMES, Scenario, ScenarioResult,
                         builtin_scenario, load_scenario, run_scenario,
                         scenario_from_dict, simulate_scenario)
-from .shapes import (LaplacianBundle, ReferenceShape, WeightSet,
-                     build_laplacian, center_shape, stabilize_gains,
-                     synthesize_weights)
+from .shapes import (Eigensystem, LaplacianBundle, ReferenceShape, WeightSet,
+                     build_laplacian, center_shape, eigensystem,
+                     stabilize_gains, synthesize_weights)
 from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   exact_trajectory, initial_condition, integrate,
                   measure_motion, shape_error, shape_error_series,
                   shape_projector)
-from .spectral import (DesignResult, Eigensystem, JordanReport, SpectralReport,
+from .spectral import (DesignResult, JordanReport, SpectralReport,
                        StabilityAnalysis, SteadyStatePrediction,
                        design_pipeline, predict_steady_state,
                        stability_bound, verify_motion_spectrum,

@@ -145,8 +145,7 @@ def modified_laplacian(g: FormationGraph, L: np.ndarray, gains: np.ndarray,
     if np.any(gains == 0):
         raise SingularGain("gain matrix has a zero diagonal entry")
     B = incidence_matrix(g)
-    Kinv = np.diag(1.0 / gains)
-    L_tilde = L - spec.kappa_tilde * Kinv @ motion.M_tilde @ B.T
+    L_tilde = L - (spec.kappa_tilde / gains)[:, None] * motion.M_tilde @ B.T
 
     omega_tilde = dict(weights.omega)
     for (i, j), mu in motion.mu_tilde.items():

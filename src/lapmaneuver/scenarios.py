@@ -59,7 +59,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Parse a scenario document; every malformed entry raises ScenarioError."""
     try:
         return _parse(doc)
-    except (AttributeError, KeyError, TypeError, ValueError, DegenerateShape) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            DegenerateShape) as exc:
         raise ScenarioError(
             f"malformed scenario ({type(exc).__name__}: {exc})") from exc
 

@@ -23,7 +23,7 @@ TOLERANCES = {
     "center_rel": 1e-12,  # |sum p*|, x n max|p*|
     "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(L)
     "assembly_rel": 1e-12,  # L~ by matrix formula vs by modified weights
-    "spectrum_rel": 1e-8,  # eigenvalue placement (verify, RK4 pre-flight), x rho
+    "spectrum_rel": 1e-8,  # eigenvalue placement (verify, RK4 pre-flight), bound's clusters, x rho
     "jordan_rel": 1e-10,  # translation chain residuals, x ||K L~|| ||p*||
     "jordan_rank_sv_rel": 1e-8,  # rank of K L~, x sigma_1
     "cond_limit": 1e8,  # condition number of an eigenbasis (absolute)
@@ -140,6 +140,19 @@ def kernel_rank_ok(L: np.ndarray) -> bool:
                 and s[-3] > TOLERANCES["rank_gap_sv_rel"] * s[0])
 
 
+@dataclass(frozen=True)
+class Eigensystem:
+    """A matrix with the eigenvalues and right eigenvectors of one `eig` call."""
+
+    matrix: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def eigensystem(A: np.ndarray) -> Eigensystem:
+    return Eigensystem(A, *np.linalg.eig(A))
+
+
 def split_spectrum(ev: np.ndarray, target: Optional[complex] = None) -> np.ndarray:
     """Eigenvalue indices of KL or K L~, the pair spanning the shape plane
     first: without a target the two smallest |lambda|, all in ascending
@@ -153,9 +166,9 @@ def split_spectrum(ev: np.ndarray, target: Optional[complex] = None) -> np.ndarr
     return np.concatenate([[im, rest[k]], np.delete(rest, k)])
 
 
-def stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> np.ndarray:
+def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
     """Complex diagonal gains k with min Re of the non-kernel spectrum of KL
-    at least gain_margin_rel * rho(L); deterministic.
+    at least gain_margin_rel * rho(L), and the eig of that KL; deterministic.
 
     K = I when it passes. Otherwise start from k_i = 1/l_ii (1 where l_ii = 0),
     a unit diagonal of KL, and ascend the soft-min of Re lambda_j / rho(KL)
@@ -164,19 +177,20 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> np.ndarray:
     lambda_j (V^-1)_ji V_ij from the same eig (Burke, Lewis & Overton, Linear
     Algebra Appl. 351-352, 2002). A step that does not raise the soft-min is halved; below
     1e-2 it has stalled, and the temperature is quartered. The first iterate
-    that passes is returned, else StabilizationFailed after _GAIN_STEPS steps.
+    that passes is returned with the eig of its KL = gains[:, None] * L, the
+    record stability_bound reads; else StabilizationFailed after _GAIN_STEPS.
     """
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for step in range(_GAIN_STEPS + 2):
         trial = k if d is None else k * np.exp(t * d)
-        ev, V = np.linalg.eig(trial[:, None] * L)
+        ev, V = np.linalg.eig(KL := trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
         if step == 0:
             margin = TOLERANCES["gain_margin_rel"] * rho
         if lam.real.min() >= margin:
-            return trial
+            return trial, Eigensystem(KL, ev, V)
         if step == 0:
             k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
             continue
@@ -196,7 +210,7 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaplacianBundle:
-    """Laplacian, its weights and the diagonal gains; `KL` is their product."""
+    """Laplacian, its weights and the diagonal gains; `KL` is gains[:, None] * L."""
 
     L: np.ndarray
     gains: np.ndarray
@@ -204,4 +218,4 @@ class LaplacianBundle:
 
     @property
     def KL(self) -> np.ndarray:
-        return np.diag(self.gains) @ self.L
+        return self.gains[:, None] * self.L

@@ -152,7 +152,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
-    X[:n, :n] = -np.diag(gains) @ L_tilde
+    X[:n, :n] = -gains[:, None] * L_tilde
     seg = np.zeros(steps, dtype=int)  # schedule entry in force at each step
     if h is not None:
         X[h.agent - 1, h.agent - 1] -= h.gain

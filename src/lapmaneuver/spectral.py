@@ -20,9 +20,9 @@ from .errors import (ChainBroken, ExpansionIllConditioned, NonDiagonalizable,
 from .graphs import FormationGraph, incidence_matrix, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
-from .shapes import (TOLERANCES, LaplacianBundle, ReferenceShape,
-                     build_laplacian, split_spectrum, stabilize_gains,
-                     synthesize_weights)
+from .shapes import (TOLERANCES, Eigensystem, LaplacianBundle, ReferenceShape,
+                     build_laplacian, eigensystem, split_spectrum,
+                     stabilize_gains, synthesize_weights)
 
 MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 
@@ -32,19 +32,6 @@ def _sin_angle(v: np.ndarray, u: np.ndarray) -> float:
     v = v / np.linalg.norm(v)
     u = u / np.linalg.norm(u)
     return float(np.linalg.norm(v - np.vdot(u, v) * u))
-
-
-@dataclass(frozen=True)
-class Eigensystem:
-    """A matrix with the eigenvalues and right eigenvectors of one `eig` call."""
-
-    matrix: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigensystem(A: np.ndarray) -> Eigensystem:
-    return Eigensystem(A, *np.linalg.eig(A))
 
 
 def _moving_mode(motion: MotionMatrices, spec: MotionSpec, shape: ReferenceShape):
@@ -126,11 +113,11 @@ def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
     n = KL_tilde.shape[0]
     ones = np.ones(n, dtype=complex)
     drift = spec.kappa_tilde * spec.kappa_t * spec.v_star
-    scale = np.linalg.norm(KL_tilde, 2) * np.linalg.norm(shape.p_star)
+    s = np.linalg.svd(KL_tilde, compute_uv=False)
+    scale = s[0] * np.linalg.norm(shape.p_star)
     r_chain = float(np.linalg.norm(KL_tilde @ shape.p_star + drift * ones))
     r_kernel = float(np.linalg.norm(KL_tilde @ ones))
     r_sq = float(np.linalg.norm(KL_tilde @ (KL_tilde @ shape.p_star)))
-    s = np.linalg.svd(KL_tilde, compute_uv=False)
     rank = int(np.sum(s > TOLERANCES["jordan_rank_sv_rel"] * s[0]))
     report = JordanReport(r_chain, r_kernel, r_sq, rank)
     tol = TOLERANCES["jordan_rel"]
@@ -151,36 +138,39 @@ class StabilityAnalysis:
     eigenvalues: np.ndarray
 
 
-def stability_bound(KL: np.ndarray, M_tilde: np.ndarray, B: np.ndarray,
+def stability_bound(es: Eigensystem, M_tilde: np.ndarray, B: np.ndarray,
                     shape: ReferenceShape) -> StabilityAnalysis:
     """Sufficient upper bound on kappa~ keeping the non-kernel spectrum of
-    K L~ in the right-half plane.
+    K L~ in the right-half plane, from the eig `es` of KL; no eig of its own.
 
     T has columns [1, p*, non-kernel eigenvectors of KL], so T^-1 (KL) T is
     block diagonal with a zero 2x2 leading block and a diagonal J2. With
     Q = diag(1/Re(lambda)) the Lyapunov identity Q J2 + J2^H Q = 2 I holds
     exactly and the bound is 1 / ||Q (T^-1 M~ B^T T)_(trailing block)||_2.
+    The eigenvectors of a cluster (eigenvalues within spectrum_rel * rho) are
+    orthonormalized; Q is constant on it, so the bound is free of eig's basis.
     Scaling K by h scales Q by 1/h and leaves T^-1 M~ B^T T alone, so the
     bound of hKL is h times the bound of KL.
     """
-    n = KL.shape[0]
-    ev, V = np.linalg.eig(KL)
+    ev = es.values
     nonkernel = split_spectrum(ev)[2:]
-    T = np.column_stack([np.ones(n, dtype=complex), shape.p_star,
-                         V[:, nonkernel]])
+    J2, W = ev[nonkernel], es.vectors[:, nonkernel]
+    close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(ev).max()
+    for c in {tuple(np.flatnonzero(row)) for row in close if row.sum() > 1}:
+        W[:, c] = np.linalg.qr(W[:, c])[0]
+    T = np.column_stack([np.ones(ev.size, dtype=complex), shape.p_star, W])
     cond = np.linalg.cond(T)
     if cond > TOLERANCES["cond_limit"]:
         raise NonDiagonalizable(
             f"eigenvector basis condition number {cond:.2e} exceeds "
             f"{TOLERANCES['cond_limit']:.0e}; a gain boost keeps the eigenvectors, "
             "so try other weights (another design seed)")
-    J2 = ev[nonkernel]
     if np.any(J2.real <= 0):
         raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
     Q = 1.0 / J2.real
 
     pert = np.linalg.solve(T, M_tilde @ B.T @ T)[2:, 2:]
-    norm = np.linalg.norm(np.diag(Q) @ pert, 2)
+    norm = np.linalg.norm(Q[:, None] * pert, 2)
     bound = math.inf if norm == 0 else 1.0 / norm
     return StabilityAnalysis(T, bound, ev)
 
@@ -278,12 +268,12 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         weights = synthesize_weights(g, shape, seed)
         L = build_laplacian(g, weights)
         stage = "gains"
-        gains = stabilize_gains(L, shape)
+        gains, KL = stabilize_gains(L)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
         B = incidence_matrix(g)
         stage = "stability"
-        stability = stability_bound(np.diag(gains) @ L, motion.M_tilde, B, shape)
+        stability = stability_bound(KL, motion.M_tilde, B, shape)
         bound, k = stability.kappa_tilde_max, 0
         while spec.kappa_tilde >= stability.kappa_tilde_max:
             # the bound of 2^k KL is 2^k times the h = 1 bound; certify the
@@ -294,14 +284,14 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
             if k > MAX_BOOSTS:
                 raise ValueError(f"kappa_tilde {spec.kappa_tilde} not admitted "
                                  f"after {MAX_BOOSTS} gain doublings")
-            stability = stability_bound(np.diag(gains * 2.0 ** k) @ L,
+            stability = stability_bound(eigensystem(2.0 ** k * KL.matrix),
                                         motion.M_tilde, B, shape)
         boost = 2.0 ** k
         gains = gains * boost
         stage = "modified"
         modified = modified_laplacian(g, L, gains, weights, motion, spec)
         stage = "verify"
-        es = eigensystem(np.diag(gains) @ modified.L_tilde)
+        es = eigensystem(gains[:, None] * modified.L_tilde)
         spectral = jordan = None
         if motion.shape_coeff != 0:
             spectral = verify_motion_spectrum(es, motion, spec, shape)

@@ -11,8 +11,8 @@ import numpy as np
 import scipy.linalg
 
 from lapmaneuver import (FormationGraph, MotionSpec, SimConfig,
-                         build_laplacian, design_pipeline, exact_trajectory,
-                         incidence_matrix, integrate, is_connected,
+                         build_laplacian, design_pipeline, eigensystem,
+                         exact_trajectory, incidence_matrix, integrate, is_connected,
                          initial_condition, is_two_rooted, measure_motion,
                          predict_steady_state, run_scenario, shape_error,
                          shape_error_series, stability_bound,
@@ -168,8 +168,8 @@ def test_criterion_07_perturbation_bound():
     assert errs[-1] < 1e-10
 
     B = incidence_matrix(g)
-    doubled = stability_bound(2.0 * base.bundle.KL, base.motion.M_tilde, B,
-                              shape)
+    doubled = stability_bound(eigensystem(2.0 * base.bundle.KL), base.motion.M_tilde,
+                              B, shape)
     doubling = doubled.kappa_tilde_max / bound
     assert abs(doubling - 2.0) < 1e-10
     print(f"[criterion 07] perturbation bound: PASS "

@@ -108,6 +108,8 @@ MALFORMED = {
     "output as a list": lambda d: d.update(output=["report.json"]),
     "output name not a string": lambda d: d.update(output={"report": 5}),
     "motion as a list": lambda d: d.update(motion=[1.0]),
+    "omega beyond float range": lambda d: d["motion"].update(omega=10**400),
+    "graph n beyond float range": lambda d: d["graph"].update(n=10**400),
 }
 
 
