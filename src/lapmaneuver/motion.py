@@ -1,6 +1,10 @@
 """Motion parameter design: steady velocity fields, the combined motion
 parameters mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s, their matrix
 M~, and the modified Laplacian.
+
+The compiled motion alone decides the steady-state case (`MotionMatrices.case`)
+from M~ B^T p* = c 1 + s p*: "moving" (rotation/scaling) if s != 0,
+"translation" if s = 0 and c != 0, "static" if s = c = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ class MotionSpec:
     v_star is the common translational velocity in the body frame, a the
     scaling rate (current size per second), omega the angular speed (rad/s).
     center_agent = None rotates/scales about the centroid; an agent index
-    shifts the instantaneous center to that agent.
+    shifts the instantaneous center to that agent, which excludes v_star.
     """
 
     v_star: complex = 0j
@@ -43,16 +47,14 @@ class MotionSpec:
         for name in ("kappa_t", "kappa_r", "kappa_s", "kappa_tilde"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.v_star != 0 and self.center_agent is None and self.kappa_t <= 0:
+        if self.v_star != 0 and self.center_agent is not None:
+            raise ValueError("v_star cannot be combined with a center agent")
+        if self.v_star != 0 and self.kappa_t <= 0:
             raise ValueError("v_star requested but kappa_t is zero")
         if self.omega != 0 and self.kappa_r <= 0:
             raise ValueError("omega requested but kappa_r is zero")
         if self.a != 0 and self.kappa_s <= 0:
             raise ValueError("a requested but kappa_s is zero")
-
-    @property
-    def is_translation_only(self) -> bool:
-        return self.v_star != 0 and self.a == 0 and self.omega == 0
 
 
 def velocity_field(spec: MotionSpec, shape: ReferenceShape) -> np.ndarray:
@@ -108,6 +110,14 @@ class MotionMatrices:
     uniform_coeff: complex
     shape_coeff: complex
 
+    @property
+    def case(self) -> str:
+        """The steady-state case, decided here only: "moving" (a zero
+        eigenvalue relocated), "translation" (a Jordan chain) or "static"."""
+        if self.shape_coeff != 0:
+            return "moving"
+        return "translation" if self.uniform_coeff != 0 else "static"
+
 
 def compile_motion(g: FormationGraph, shape: ReferenceShape,
                    spec: MotionSpec) -> MotionMatrices:
@@ -131,10 +141,9 @@ def compile_motion(g: FormationGraph, shape: ReferenceShape,
 
 @dataclass(frozen=True)
 class ModifiedLaplacian:
-    """L~ = L - kappa~ K^-1 M~ B^T together with the modified weight map."""
+    """L~ = L - kappa~ K^-1 M~ B^T."""
 
     L_tilde: np.ndarray
-    omega_tilde: dict[tuple[int, int], complex]
 
 
 def modified_laplacian(g: FormationGraph, L: np.ndarray, gains: np.ndarray,
@@ -155,4 +164,4 @@ def modified_laplacian(g: FormationGraph, L: np.ndarray, gains: np.ndarray,
     scale = max(np.abs(L_tilde).max(), 1.0)
     if np.abs(L_tilde - L_check).max() > TOLERANCES["assembly_rel"] * scale:
         raise AssertionError("modified Laplacian assembly paths disagree")
-    return ModifiedLaplacian(L_tilde, omega_tilde)
+    return ModifiedLaplacian(L_tilde)

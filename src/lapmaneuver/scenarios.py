@@ -145,8 +145,11 @@ def _parse(doc: dict) -> Scenario:
     names = out.get("report", "report.json"), out.get("trajectory", "trajectory.csv")
     if not all(isinstance(s, str) for s in names):
         raise ScenarioError(f"output names must be strings, got {names}")
+    seed = _integer(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed must be non-negative, got {seed}")
     return Scenario(name=name, graph=graph, shape=shape, spec=spec, sim=sim,
-                    design_seed=_integer(doc.get("seed", 0), "seed"), method=method,
+                    design_seed=seed, method=method,
                     report_name=names[0], trajectory_name=names[1])
 
 

@@ -113,11 +113,8 @@ def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> dict:
         # null space of the 1 x m row [z*_ij1 ... z*_ijm]
         _, _, vh = np.linalg.svd(z.reshape(1, -1))
         basis = vh[1:].conj().T
-        for _ in range(100):
-            coeff = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
-            row = basis @ coeff
-            if np.abs(row).max() > 1e-6:
-                break
+        row = basis @ (rng.standard_normal(basis.shape[1])
+                       + 1j * rng.standard_normal(basis.shape[1]))
         row = row / np.abs(row).max()
         for k, j in enumerate(nbrs):
             omega[(i, j)] = complex(row[k])

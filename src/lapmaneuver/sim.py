@@ -70,6 +70,8 @@ class SimConfig:
             raise ValueError("t_end must be finite and at least dt")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Eigenstructure verification, Lyapunov speed bound and the design pipeline.
 
-The modified Laplacian relocates one zero eigenvalue of KL to
--kappa~ (kappa_s a + i kappa_r omega) while keeping the shape eigenvector;
-pure translations instead collapse the zero eigenvalue to a single Jordan
-chain. Everything here checks those facts numerically and bounds the global
-speed gain that preserves stability of the remaining spectrum.
+With M~ B^T p* = c 1 + s p*, the modified Laplacian relocates one zero
+eigenvalue of KL to -kappa~ s while keeping the shape eigenvector (case
+"moving": rotation/scaling); with s = 0 and c != 0 the double zero collapses
+to a single Jordan chain ("translation"); with s = c = 0 K L~ = KL
+("static"). The case is `MotionMatrices.case`; everything here reads it,
+checks its facts numerically and bounds the global speed gain that
+preserves stability of the remaining spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,15 +38,13 @@ def _sin_angle(v: np.ndarray, u: np.ndarray) -> float:
 def _moving_mode(motion: MotionMatrices, spec: MotionSpec, shape: ReferenceShape):
     """Relocated eigenvalue -kappa~ s of K L~ and its eigenvector (c/s) 1 + p*."""
     s_coeff = motion.shape_coeff
-    if s_coeff == 0:
-        raise ValueError("rotation/scaling case requires a != 0 or omega != 0")
     u = (motion.uniform_coeff / s_coeff) * np.ones(shape.n, complex) + shape.p_star
     return -spec.kappa_tilde * s_coeff, u
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Moving-mode eigenstructure of K L~ (rotation/scaling case)."""
+    """Moving-mode eigenstructure of K L~ (case "moving")."""
 
     moving_eigenvalue: complex
     moving_target: complex
@@ -53,7 +52,6 @@ class SpectralReport:
     moving_vector_angle: float
     kernel_vector_angle: float
     others_min_real: float
-    others_stable: bool
     algebraic_residual: float
 
 
@@ -80,13 +78,12 @@ def verify_motion_spectrum(es: Eigensystem, motion: MotionMatrices,
         moving_vector_angle=_sin_angle(es.vectors[:, im], u),
         kernel_vector_angle=_sin_angle(es.vectors[:, iz], np.ones(shape.n, complex)),
         others_min_real=float(ev[others].real.min()) if others.size else math.inf,
-        others_stable=bool(np.all(ev[others].real > 0)),
         algebraic_residual=alg,
     )
     rel = TOLERANCES["spectrum_rel"]
     tol = rel * float(np.abs(ev).max())
     if moving_residual > tol or kernel_residual > tol \
-            or not report.others_stable or alg > rel:
+            or not report.others_min_real > 0 or alg > rel:
         raise SpectrumMismatch(
             f"eigenstructure off prediction: moving residual {moving_residual:.2e}, "
             f"kernel residual {kernel_residual:.2e}, "
@@ -97,7 +94,7 @@ def verify_motion_spectrum(es: Eigensystem, motion: MotionMatrices,
 
 @dataclass(frozen=True)
 class JordanReport:
-    """Generalized-chain residuals for the pure-translation case."""
+    """Generalized-chain residuals of K L~ (case "translation")."""
 
     chain_residual: float
     kernel_residual: float
@@ -108,8 +105,6 @@ class JordanReport:
 def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
                               shape: ReferenceShape) -> JordanReport:
     """Check K L~ p* = -kappa~ kappa_t v* 1, K L~ 1 = 0 and rank n-1."""
-    if spec.omega != 0 or spec.a != 0 or spec.v_star == 0:
-        raise ValueError("translation case requires omega = a = 0, v* != 0")
     n = KL_tilde.shape[0]
     ones = np.ones(n, dtype=complex)
     drift = spec.kappa_tilde * spec.kappa_t * spec.v_star
@@ -177,65 +172,56 @@ def stability_bound(es: Eigensystem, M_tilde: np.ndarray, B: np.ndarray,
 
 @dataclass(frozen=True)
 class SteadyStatePrediction:
-    """Closed-form asymptotic trajectory from expanding p(0)."""
+    """Closed-form asymptotic trajectory from expanding p(0):
+    c1 1 + c2 e^(rate t) basis_shape + t steady_velocity 1."""
 
     c1: complex
     c2: complex
-    case: str  # "moving" | "translation" | "static"
-    basis_uniform: np.ndarray
-    basis_shape: np.ndarray
+    case: str  # the design's MotionMatrices.case
+    basis_shape: np.ndarray  # (c/s) 1 + p* moving, -p* translation, p* static
     rate: complex  # exponent of the moving mode (0 for translation/static)
-    drift: complex  # per-unit-time uniform velocity (translation case)
+    steady_velocity: complex  # uniform agent velocity (0 unless translation)
 
     def evaluate(self, t) -> np.ndarray:
         """Asymptotic configuration at time(s) t, decaying terms dropped."""
         t = np.asarray(t, dtype=float)
-        ones = self.basis_uniform
-        if self.case == "moving":
-            shape_part = np.multiply.outer(np.exp(self.rate * t),
-                                           self.c2 * self.basis_shape)
-            return np.squeeze(self.c1 * ones + shape_part)
-        # translation: linear drift along 1; static: drift = 0
-        beta = -self.c2 if self.case == "translation" else self.c2
-        drift_part = np.multiply.outer(t, self.drift * ones)
-        return np.squeeze(self.c1 * ones + beta * self.basis_shape + drift_part)
-
-    @property
-    def steady_velocity(self) -> complex:
-        """Uniform asymptotic agent velocity (translation case, else the
-        velocity is not uniform and this is zero for static designs)."""
-        return self.drift
+        ones = np.ones(self.basis_shape.size, dtype=complex)
+        return np.squeeze(self.c1 * ones
+                          + np.multiply.outer(np.exp(self.rate * t), self.c2 * self.basis_shape)
+                          + np.multiply.outer(t, self.steady_velocity * ones))
 
 
 def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePrediction:
     """Expand p(0) in the (generalized) eigenbasis of -K L~ and return the
     non-decaying part of the solution."""
-    es, spec, shape = design.eigensystem, design.spec, design.shape
+    es, motion, spec, shape = design.eigensystem, design.motion, design.spec, design.shape
     ones = np.ones(shape.n, dtype=complex)
-    if design.motion.shape_coeff != 0:
-        target, basis_shape = _moving_mode(design.motion, spec, shape)
-        case, rate = "moving", -target
-    else:
-        # kernel (possibly defective) handled analytically with {1, p*}
-        target, basis_shape, rate = None, shape.p_star, 0j
-        case = "translation" if spec.v_star != 0 else "static"
+    target, basis_shape, rate = None, shape.p_star, 0j
+    if motion.case == "moving":
+        target, basis_shape = _moving_mode(motion, spec, shape)
+        rate = -target
+    elif motion.case == "translation":
+        # the chain K L~ p* = -kappa~ c 1 taken analytically; -p* gives c2 the
+        # published sign, velocity = -c2 kappa~ c
+        basis_shape = -shape.p_star
     rest = split_spectrum(es.values, target)[2:]
     W = np.column_stack([ones, basis_shape, es.vectors[:, rest]])
     if np.linalg.cond(W) > TOLERANCES["cond_limit"]:
         raise ExpansionIllConditioned(
             f"eigenbasis condition number {np.linalg.cond(W):.2e}")
     coeff = np.linalg.solve(W, np.asarray(p0, dtype=complex))
-    c1, c2, drift = complex(coeff[0]), complex(coeff[1]), 0j
-    if case == "translation":
-        # sign convention of the published solution: velocity = -c2 kappa~ kappa_t v*
-        c2, drift = -c2, c2 * spec.kappa_tilde * spec.kappa_t * spec.v_star
-    return SteadyStatePrediction(c1, c2, case, ones, basis_shape, rate, drift)
+    c1, c2 = complex(coeff[0]), complex(coeff[1])
+    velocity = -c2 * spec.kappa_tilde * motion.uniform_coeff \
+        if motion.case == "translation" else 0j
+    return SteadyStatePrediction(c1, c2, motion.case, basis_shape, rate, velocity)
 
 
 @dataclass(frozen=True)
 class DesignResult:
     """Everything the end-to-end design produces; `eigensystem` is the one
-    eigendecomposition of K L~ that verification and prediction read."""
+    eigendecomposition of K L~ that verification and prediction read, and
+    `residuals` what verification certified for the case of `motion`
+    (SpectralReport, JordanReport, or None when static)."""
 
     graph: FormationGraph
     shape: ReferenceShape
@@ -245,8 +231,7 @@ class DesignResult:
     modified: ModifiedLaplacian
     stability: StabilityAnalysis
     eigensystem: Eigensystem
-    spectral: Optional[SpectralReport]
-    jordan: Optional[JordanReport]
+    residuals: SpectralReport | JordanReport | None
     boost: float
 
     @property
@@ -259,7 +244,9 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
     """Steps: check the graph is 2-rooted, synthesize weights and gains,
     build the motion matrices, bound the speed gain (boosting the gains by
     the smallest power of two 2^k that admits the requested kappa~),
-    assemble L~ and verify the predicted eigenstructure."""
+    assemble L~ and verify the eigenstructure of the motion's case. A static
+    design has M~ = 0, so an unbounded kappa~ bound, boost 1 and K L~ = KL:
+    it keeps the gain rule's eig of KL and needs no check of its own."""
     stage = "weights"
     try:
         feas = is_two_rooted(g)
@@ -291,15 +278,15 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         stage = "modified"
         modified = modified_laplacian(g, L, gains, weights, motion, spec)
         stage = "verify"
-        es = eigensystem(gains[:, None] * modified.L_tilde)
-        spectral = jordan = None
-        if motion.shape_coeff != 0:
-            spectral = verify_motion_spectrum(es, motion, spec, shape)
-        elif spec.is_translation_only:
-            jordan = verify_translation_jordan(es.matrix, spec, shape)
+        es, residuals = KL, None
+        if motion.case != "static":
+            es = eigensystem(gains[:, None] * modified.L_tilde)
+            residuals = (verify_motion_spectrum(es, motion, spec, shape)
+                         if motion.case == "moving"
+                         else verify_translation_jordan(es.matrix, spec, shape))
         bundle = LaplacianBundle(L=L, gains=gains, weights=weights)
         return DesignResult(g, shape, spec, bundle, motion, modified,
-                            stability, es, spectral, jordan, boost)
+                            stability, es, residuals, boost)
     except PipelineFailed:
         raise
     except Exception as exc:

@@ -110,6 +110,9 @@ MALFORMED = {
     "motion as a list": lambda d: d.update(motion=[1.0]),
     "omega beyond float range": lambda d: d["motion"].update(omega=10**400),
     "graph n beyond float range": lambda d: d["graph"].update(n=10**400),
+    "v_star with an agent center": lambda d: d["motion"].update(rotation_center=2),
+    "negative seed": lambda d: d.update(seed=-3),
+    "negative sim seed": lambda d: d["sim"].update(seed=-3),
 }
 
 
@@ -222,6 +225,17 @@ def test_verify_failure_exit_4(tmp_path, capsys, monkeypatch):
     code = main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 4
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_option_exit_2(tmp_path, capsys, seed):
+    path = _write(tmp_path, "enclosing")
+    for command in ("design", "simulate", "verify"):
+        with pytest.raises(SystemExit) as exc:  # argparse refuses the value
+            main([command, "--scenario", str(path), "--out", str(tmp_path), "--seed", seed])
+        assert exc.value.code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
 
 
 def test_seed_override_changes_weights(tmp_path):

@@ -80,6 +80,13 @@ def test_invalid_motion_key_combination():
         scenario_from_dict(doc)
 
 
+def test_v_star_with_rotation_center_names_the_conflict():
+    # the agent-centred field has no translation term, so v* would be dropped
+    doc = builtin_scenario("enclosing", {"motion": {"v_star_re": 1.0, "kappa_t": 0.05}})
+    with pytest.raises(ScenarioError, match="v_star cannot be combined with a center agent"):
+        scenario_from_dict(doc)
+
+
 def test_load_scenario_round_trip(tmp_path):
     doc = builtin_scenario("spiral_outward", {"sim": {"t_end": 1.0}})
     path = tmp_path / "s.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, ChainBroken, FormationGraph,
-                         MotionSpec, PipelineFailed, SpectrumMismatch,
+                         JordanReport, MotionSpec, PipelineFailed,
+                         SpectralReport, SpectrumMismatch,
                          build_laplacian, builtin_scenario, center_shape,
                          compile_motion, design_pipeline, incidence_matrix,
                          modified_laplacian, predict_steady_state,
@@ -40,18 +42,18 @@ def test_unmodified_has_double_kernel(square):
 
 def test_rotation_moving_eigenvalue(square):
     d = _design(MotionSpec(omega=1.0, kappa_r=0.025))
-    s = d.spectral
+    s = d.residuals
     assert abs(s.moving_eigenvalue - (-0.025j)) < 1e-8
     assert s.moving_vector_angle < 1e-6
     assert s.kernel_vector_angle < 1e-6
-    assert s.others_stable
+    assert s.others_min_real > 0
     assert s.algebraic_residual < 1e-10
 
 
 def test_rotation_scaling_combined_sign(square):
     d = _design(MotionSpec(a=-1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025))
     target = -(0.025 * -1.0 + 1j * 0.025 * 1.0)
-    assert abs(d.spectral.moving_eigenvalue - target) < 1e-8
+    assert abs(d.residuals.moving_eigenvalue - target) < 1e-8
     assert target == 0.025 - 0.025j
 
 
@@ -71,7 +73,7 @@ def test_translation_chain(square):
     g, shape = square
     spec = MotionSpec(v_star=1.0, kappa_t=0.05)
     d = _design(spec)
-    j = d.jordan
+    j = d.residuals
     assert j.rank == shape.n - 1 == 3
     # K L~ p* = -0.05 * 1
     resid = np.abs(d.KL_tilde @ shape.p_star + 0.05 * np.ones(4)).max()
@@ -120,12 +122,16 @@ def test_translation_rank_deficit_detected(square):
         verify_translation_jordan(broken, spec, shape)
 
 
+STATIC = {"motion": {"a": 0.0, "omega": 0.0, "kappa_r": 0.0, "kappa_s": 0.0}}
+
+
 @pytest.mark.parametrize("name, over", [(name, None) for name in SCENARIO_NAMES]
-                         + [("enclosing", {"motion": {"kappa_tilde": 20.0}})])
+                         + [("enclosing", {"motion": {"kappa_tilde": 20.0}}),
+                            ("spiral_outward", STATIC)])
 def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     # every eig/eigvals of the pipeline and the report, gain rule included:
     # no matrix twice, even formed another way (equal up to rounding), so
-    # the shipped K L and K L~ once each
+    # the shipped K L and K L~ once each; a static design's K L~ is its K L
     from lapmaneuver.cli import build_report
 
     seen = []
@@ -140,6 +146,7 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     monkeypatch.setattr(np.linalg, "eig", counted(eig))
     monkeypatch.setattr(np.linalg, "eigvals", counted(eigvals))
     sc = scenario_from_dict(builtin_scenario(name, over))
+    assert over is not STATIC or sc.spec == MotionSpec()
     d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     build_report(sc, d)
 
@@ -150,6 +157,29 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     assert count(d.KL_tilde) == 1
     assert count(d.bundle.KL) == 1
     assert all(count(A) == 1 for A in seen)
+
+
+# centroid or agent center, each of v*, omega and a zero or not, where
+# MotionSpec accepts the combination (v* excludes an agent center)
+SPECS = [dict(center_agent=c, v_star=v, omega=w, a=a) for c, v, w, a in
+         itertools.product((None, 2), (0j, 0.4 - 0.2j), (0.0, 0.8), (0.0, 0.3))
+         if c is None or v == 0]
+
+
+@pytest.mark.parametrize("kw", SPECS, ids=lambda kw: "-".join(
+    f"{k}={v}" for k, v in kw.items()))
+def test_case_is_decided_once_from_the_compiled_motion(square, kw):
+    spec = MotionSpec(**kw, kappa_t=0.02, kappa_r=0.025, kappa_s=0.015)
+    d = _design(spec)
+    expected = ("moving" if kw["omega"] or kw["a"]
+                else "translation" if kw["v_star"] else "static")
+    assert d.motion.case == expected
+    residuals = {"moving": SpectralReport, "translation": JordanReport,
+                 "static": type(None)}[d.motion.case]
+    assert type(d.residuals) is residuals
+    rng = np.random.default_rng(5)
+    p0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    assert predict_steady_state(p0, d).case == d.motion.case
 
 
 def test_zero_perturbation_unbounded(square):
@@ -195,12 +225,12 @@ def test_pipeline_boosts_until_admitted(square):
     boosted = _design(MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=want))
     assert boosted.boost > 1.0
     assert boosted.stability.kappa_tilde_max > want
-    assert boosted.spectral.others_stable
+    assert boosted.residuals.others_min_real > 0
 
 
 def test_pipeline_static_trivial(square):
     d = _design(MotionSpec())
-    assert d.spectral is None and d.jordan is None
+    assert d.residuals is None
     assert d.boost == 1.0
 
 
@@ -282,8 +312,8 @@ def test_random_instances_verify(square):
         g, shape = random_instance(5, seed=seed)
         spec = MotionSpec(omega=0.5, kappa_r=0.05)
         d = design_pipeline(g, shape, spec, seed=seed)
-        assert d.spectral.moving_residual < 1e-8
-        assert d.spectral.others_stable
+        assert d.residuals.moving_residual < 1e-8
+        assert d.residuals.others_min_real > 0
 
 
 def test_ring_chord_48_designs():
@@ -291,14 +321,14 @@ def test_ring_chord_48_designs():
     # never stabilized
     g, shape = ring_chord(48)
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025))
-    assert d.spectral.others_stable
+    assert d.residuals.others_min_real > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ring_chord_64_designs(seed):
     g, shape = ring_chord(64)
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=seed)
-    assert d.spectral.others_stable
+    assert d.residuals.others_min_real > 0
 
 
 @pytest.mark.parametrize("key, value, stage", [("spectrum_rel", 1e-30, "verify"),
