@@ -11,17 +11,16 @@ from .errors import (ChainBroken, DegenerateShape, DegenerateWeights, Diverged,
                      PipelineFailed, ScenarioError, SingularGain,
                      SpectrumMismatch, StabilizationFailed, StepUnstable,
                      ZeroEdgeVector, ZeroState)
-from .graphs import (FormationGraph, TwoRootedReport, incidence_matrix,
-                     is_connected, is_two_rooted)
+from .graphs import FormationGraph, TwoRootedReport, is_connected, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
-                     compile_motion, modified_laplacian, motion_matrix,
-                     motion_parameters, velocity_field)
+                     compile_motion, modified_laplacian, motion_parameters,
+                     velocity_field)
 from .scenarios import (SCENARIO_NAMES, Scenario, ScenarioResult,
                         builtin_scenario, load_scenario, run_scenario,
                         scenario_from_dict, simulate_scenario)
-from .shapes import (Eigensystem, LaplacianBundle, ReferenceShape, WeightSet,
-                     build_laplacian, center_shape, eigensystem,
-                     stabilize_gains, synthesize_weights)
+from .shapes import (Eigensystem, LaplacianBundle, ReferenceShape,
+                     center_shape, eigensystem, laplacian, stabilize_gains,
+                     synthesize_weights)
 from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   exact_trajectory, initial_condition, integrate,
                   measure_motion, shape_error, shape_error_series,

@@ -57,8 +57,8 @@ def build_report(sc: Scenario, design: DesignResult,
         "scenario": sc.name,
         "seeds": {"design": sc.design_seed, "sim": sc.sim.seed},
         "tolerances": TOLERANCES,
-        "weights": [[i, j, *_c(w)] for (i, j), w in
-                    sorted(design.bundle.weights.omega.items())],
+        "weights": [[i, j, *_c(design.bundle.weights[i - 1, j - 1])]
+                    for i, j in sorted(design.graph.neighbor_pairs())],
         "gains": _cvec(design.bundle.gains),
         "gain_boost": design.boost,
         "eigenvalues_KL": _cvec(design.stability.eigenvalues),

@@ -1,16 +1,14 @@
-"""Undirected interaction graphs with an oriented edge list.
+"""Undirected interaction graphs and the 2-rooted feasibility check.
 
 Nodes are labeled 1..n. Each unordered neighbor pair is stored once as an
-oriented edge (tail, head); the incidence matrix puts +1 at the tail so that
-(B^T p)_k = p_tail - p_head for any configuration p.
+edge (i, j); the order within a pair carries no meaning, and no other module
+reads it: weights and motion parameters are n x n arrays on the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,6 @@ class FormationGraph:
             seen.add(key)
 
     @property
-    def m(self) -> int:
-        return len(self.oriented_edges)
-
-    @property
     def edges(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(e) for e in self.oriented_edges)
 
@@ -62,20 +56,7 @@ class FormationGraph:
 
     def neighbor_pairs(self) -> tuple[tuple[int, int], ...]:
         """Both ordered directions (i, j) and (j, i) of every edge."""
-        out = []
-        for i, j in self.oriented_edges:
-            out.append((i, j))
-            out.append((j, i))
-        return tuple(out)
-
-
-def incidence_matrix(g: FormationGraph) -> np.ndarray:
-    """n x |Z| matrix with +1 at the tail and -1 at the head of each edge."""
-    B = np.zeros((g.n, g.m))
-    for k, (tail, head) in enumerate(g.oriented_edges):
-        B[tail - 1, k] = 1.0
-        B[head - 1, k] = -1.0
-    return B
+        return tuple(p for i, j in self.oriented_edges for p in ((i, j), (j, i)))
 
 
 def _reachable(adj: dict[int, set[int]], sources: set[int], removed: set[int]) -> set[int]:

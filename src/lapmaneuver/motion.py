@@ -1,10 +1,13 @@
 """Motion parameter design: steady velocity fields, the combined motion
-parameters mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s, their matrix
-M~, and the modified Laplacian.
+parameters mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s (an n x n array
+on the graph's edges, like the weights), and the modified Laplacian.
 
-The compiled motion alone decides the steady-state case (`MotionMatrices.case`)
-from M~ B^T p* = c 1 + s p*: "moving" (rotation/scaling) if s != 0,
-"translation" if s = 0 and c != 0, "static" if s = c = 0.
+(M~ B^T p)_i = sum_j mu~_ij (p_i - p_j), so the paper's M~ B^T is the
+Laplacian of mu~, and L~ = L - kappa~ K^-1 M~ B^T is the Laplacian of the
+modified weights w - kappa~ K^-1 mu~. The compiled motion alone decides the
+steady-state case (`MotionMatrices.case`) from M~ B^T p* = c 1 + s p*:
+"moving" (rotation/scaling) if s != 0, "translation" if s = 0 and c != 0,
+"static" if s = c = 0.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularGain, ZeroEdgeVector
-from .graphs import FormationGraph, incidence_matrix
-from .shapes import TOLERANCES, ReferenceShape, WeightSet, build_laplacian
-
-MuMap = dict[tuple[int, int], complex]
+from .graphs import FormationGraph
+from .shapes import TOLERANCES, ReferenceShape, laplacian
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,10 @@ def velocity_field(spec: MotionSpec, shape: ReferenceShape) -> np.ndarray:
 
 
 def motion_parameters(g: FormationGraph, shape: ReferenceShape,
-                      v_f: np.ndarray) -> MuMap:
+                      v_f: np.ndarray) -> np.ndarray:
     """One nonzero mu per agent: the desired velocity divided by the first
     usable reference edge vector (lowest-index neighbor, deterministic)."""
-    mu: MuMap = {}
+    mu = np.zeros((g.n, g.n), dtype=complex)
     for i in range(1, g.n + 1):
         vi = complex(v_f[i - 1])
         if vi == 0:
@@ -84,31 +85,26 @@ def motion_parameters(g: FormationGraph, shape: ReferenceShape,
         for j in g.neighbors(i):
             z = shape.edge_vector(i, j)
             if z != 0:
-                mu[(i, j)] = vi / z
+                mu[i - 1, j - 1] = vi / z
                 break
         else:
             raise ZeroEdgeVector(f"agent {i} has no neighbor with nonzero z*")
     return mu
 
 
-def motion_matrix(g: FormationGraph, mu: MuMap) -> np.ndarray:
-    """n x |Z| matrix M with (M B^T p)_i = sum_j mu_ij (p_i - p_j)."""
-    M = np.zeros((g.n, g.m), dtype=complex)
-    for k, (tail, head) in enumerate(g.oriented_edges):
-        M[tail - 1, k] = mu.get((tail, head), 0j)
-        M[head - 1, k] = -mu.get((head, tail), 0j)
-    return M
-
-
 @dataclass(frozen=True)
 class MotionMatrices:
-    """Combined motion parameters mu~, their matrix M~ = M(mu~), and the
-    coefficients of the identity M~ B^T p* = uniform_coeff 1 + shape_coeff p*."""
+    """Combined motion parameters mu~ and the coefficients of the identity
+    M~ B^T p* = uniform_coeff 1 + shape_coeff p*."""
 
-    M_tilde: np.ndarray
-    mu_tilde: MuMap
+    mu_tilde: np.ndarray
     uniform_coeff: complex
     shape_coeff: complex
+
+    @property
+    def MBt(self) -> np.ndarray:
+        """The paper's M~ B^T, which is the Laplacian of mu~."""
+        return laplacian(self.mu_tilde)
 
     @property
     def case(self) -> str:
@@ -126,17 +122,13 @@ def compile_motion(g: FormationGraph, shape: ReferenceShape,
     parts = ((spec.kappa_t, replace(spec, a=0.0, omega=0.0)),
              (spec.kappa_r, replace(spec, v_star=0j, a=0.0)),
              (spec.kappa_s, replace(spec, v_star=0j, omega=0.0)))
-    mu_tilde: MuMap = {}
-    for gain, part in parts:
-        mu = motion_parameters(g, shape, velocity_field(part, shape))
-        for key, val in mu.items():
-            mu_tilde[key] = mu_tilde.get(key, 0j) + gain * val
+    mu_tilde = sum(gain * motion_parameters(g, shape, velocity_field(part, shape))
+                   for gain, part in parts)
     shape_coeff = spec.kappa_s * spec.a + 1j * spec.kappa_r * spec.omega
     # a relative-to-agent field is the centroid field plus a uniform shift
     uniform = (spec.kappa_t * spec.v_star if spec.center_agent is None
                else -shape_coeff * shape.p_star[spec.center_agent - 1])
-    return MotionMatrices(motion_matrix(g, mu_tilde), mu_tilde,
-                          complex(uniform), complex(shape_coeff))
+    return MotionMatrices(mu_tilde, complex(uniform), complex(shape_coeff))
 
 
 @dataclass(frozen=True)
@@ -146,21 +138,15 @@ class ModifiedLaplacian:
     L_tilde: np.ndarray
 
 
-def modified_laplacian(g: FormationGraph, L: np.ndarray, gains: np.ndarray,
-                       weights: WeightSet, motion: MotionMatrices,
-                       spec: MotionSpec) -> ModifiedLaplacian:
+def modified_laplacian(L: np.ndarray, gains: np.ndarray, weights: np.ndarray,
+                       motion: MotionMatrices, spec: MotionSpec) -> ModifiedLaplacian:
     """Assemble L~ via the matrix formula and cross-check it entrywise
-    against the modified weights w~_ij = w_ij - (kappa~/k_i) mu~_ij."""
+    against the Laplacian of the modified weights w~_ij = w_ij - (kappa~/k_i) mu~_ij."""
     if np.any(gains == 0):
         raise SingularGain("gain matrix has a zero diagonal entry")
-    B = incidence_matrix(g)
-    L_tilde = L - (spec.kappa_tilde / gains)[:, None] * motion.M_tilde @ B.T
-
-    omega_tilde = dict(weights.omega)
-    for (i, j), mu in motion.mu_tilde.items():
-        omega_tilde[(i, j)] = omega_tilde.get((i, j), 0j) \
-            - spec.kappa_tilde / gains[i - 1] * mu
-    L_check = build_laplacian(g, WeightSet(omega_tilde))
+    factor = (spec.kappa_tilde / gains)[:, None]
+    L_tilde = L - factor * motion.MBt
+    L_check = laplacian(weights - factor * motion.mu_tilde)
     scale = max(np.abs(L_tilde).max(), 1.0)
     if np.abs(L_tilde - L_check).max() > TOLERANCES["assembly_rel"] * scale:
         raise AssertionError("modified Laplacian assembly paths disagree")

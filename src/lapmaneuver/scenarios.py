@@ -10,6 +10,7 @@ spirals and the heading-controlled traveling formation); the repository's
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib.resources import files
 from numbers import Real
@@ -48,11 +49,24 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
+def _number(value, key: str) -> float:
+    """A finite number as a float; a string, a boolean, NaN, an infinity or an
+    integer beyond float range is refused, naming the key."""
+    if isinstance(value, bool) or not isinstance(value, Real) \
+            or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, key: str) -> int:
-    """An integer-valued number as an int; 4.7 or "4" is refused, not truncated."""
-    if not isinstance(value, Real) or not float(value).is_integer():
+    """An integer-valued number as an int; 4.7 is refused, not truncated."""
+    if not _number(value, key).is_integer():
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _points(pts, key: str) -> np.ndarray:
+    return np.array([complex(_number(x, key), _number(y, key)) for x, y in pts])
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -75,8 +89,7 @@ def _parse(doc: dict) -> Scenario:
     graph = FormationGraph(n, tuple(tuple(_integer(v, "graph.edges") for v in e)
                                     for e in edges))
 
-    pts = _require(doc, "shape", "scenario")
-    raw = np.array([complex(x, y) for x, y in pts])
+    raw = _points(_require(doc, "shape", "scenario"), "shape")
     if raw.size != n:
         raise ScenarioError(f"shape has {raw.size} points for n={n} nodes")
     shape = center_shape(raw)
@@ -91,13 +104,14 @@ def _parse(doc: dict) -> Scenario:
             raise ScenarioError(f"motion.rotation_center {center_agent} out of range")
     try:
         spec = MotionSpec(
-            v_star=complex(md.get("v_star_re", 0.0), md.get("v_star_im", 0.0)),
-            a=float(md.get("a", 0.0)),
-            omega=float(md.get("omega", 0.0)),
-            kappa_t=float(md.get("kappa_t", 0.0)),
-            kappa_r=float(md.get("kappa_r", 0.0)),
-            kappa_s=float(md.get("kappa_s", 0.0)),
-            kappa_tilde=float(md.get("kappa_tilde", 1.0)),
+            v_star=complex(_number(md.get("v_star_re", 0.0), "motion.v_star_re"),
+                           _number(md.get("v_star_im", 0.0), "motion.v_star_im")),
+            a=_number(md.get("a", 0.0), "motion.a"),
+            omega=_number(md.get("omega", 0.0), "motion.omega"),
+            kappa_t=_number(md.get("kappa_t", 0.0), "motion.kappa_t"),
+            kappa_r=_number(md.get("kappa_r", 0.0), "motion.kappa_r"),
+            kappa_s=_number(md.get("kappa_s", 0.0), "motion.kappa_s"),
+            kappa_tilde=_number(md.get("kappa_tilde", 1.0), "motion.kappa_tilde"),
             center_agent=center_agent,
         )
     except ValueError as exc:
@@ -115,23 +129,26 @@ def _parse(doc: dict) -> Scenario:
         if frozenset((agent, neighbor)) not in graph.edges:
             raise ScenarioError(
                 f"heading_control pair ({agent},{neighbor}) is not an edge")
-        sched = tuple((float(s["until"]), complex(s["re"], s["im"]))
+        key = "heading_control.schedule"
+        sched = tuple((_number(s["until"], f"{key}.until"),
+                       complex(_number(s["re"], f"{key}.re"), _number(s["im"], f"{key}.im")))
                       for s in _require(hd, "schedule", "heading_control"))
         heading = HeadingControl(agent, neighbor,
-                                 float(hd.get("gain", 1.0)), sched)
+                                 _number(hd.get("gain", 1.0), "heading_control.gain"), sched)
     p0 = sd.get("initial_condition")
     if p0 is not None:
-        p0 = np.array([complex(x, y) for x, y in p0])
+        p0 = _points(p0, "sim.initial_condition")
         if p0.size != n:
             raise ScenarioError("sim.initial_condition size mismatch")
     try:
         sim = SimConfig(
-            dt=float(sd.get("dt", 1e-3)),
-            t_end=float(sd.get("t_end", 10.0)),
+            dt=_number(sd.get("dt", 1e-3), "sim.dt"),
+            t_end=_number(sd.get("t_end", 10.0), "sim.t_end"),
             p0=p0,
             seed=_integer(sd.get("seed", 0), "sim.seed"),
-            box_factor=float(sd.get("box_factor", 2.0)),
-            divergence_threshold=float(sd.get("divergence_threshold", 1e9)),
+            box_factor=_number(sd.get("box_factor", 2.0), "sim.box_factor"),
+            divergence_threshold=_number(sd.get("divergence_threshold", 1e9),
+                                         "sim.divergence_threshold"),
             sample_stride=_integer(sd.get("sample_stride", 1), "sim.sample_stride"),
             heading=heading,
         )

@@ -2,7 +2,9 @@
 
 The reference shape is a centered complex vector p*; weights are chosen per
 node so that the weighted sum of reference relative positions vanishes,
-making span{1, p*} the kernel of the assembled Laplacian.
+making span{1, p*} the kernel of the assembled Laplacian. Weights, like the
+motion parameters, are an n x n complex array W, zero off the graph's edges
+(w_ij at W[i-1, j-1]); `laplacian` is the one assembly of a Laplacian.
 """
 
 from __future__ import annotations
@@ -68,18 +70,8 @@ def center_shape(raw) -> ReferenceShape:
     return ReferenceShape(p - (p.mean() if p.size else 0))
 
 
-@dataclass(frozen=True)
-class WeightSet:
-    """Complex weight per ordered neighbor pair; omega[(i, j)] for j in N_i."""
-
-    omega: dict[tuple[int, int], complex]
-
-    def __getitem__(self, key: tuple[int, int]) -> complex:
-        return self.omega[key]
-
-
 def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
-                       seed: int) -> WeightSet:
+                       seed: int) -> np.ndarray:
     """Choose weights so each row of L annihilates both 1 and p*.
 
     Two-neighbor rows use the closed form (w_ij, w_ik) = (z*_ik, -z*_ij);
@@ -90,15 +82,15 @@ def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
     if shape.n != g.n:
         raise ValueError("shape size does not match graph")
     for attempt in range(_WEIGHT_DRAWS):
-        w = WeightSet(_draw_weights(g, shape, np.random.default_rng(seed + attempt)))
-        if kernel_rank_ok(build_laplacian(g, w)):
-            return w
+        W = _draw_weights(g, shape, np.random.default_rng(seed + attempt))
+        if kernel_rank_ok(laplacian(W)):
+            return W
     raise DegenerateWeights(
         f"Laplacian rank check failed after {_WEIGHT_DRAWS} seeds")
 
 
-def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> dict:
-    omega: dict[tuple[int, int], complex] = {}
+def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
+    W = np.zeros((g.n, g.n), dtype=complex)
     for i in range(1, g.n + 1):
         nbrs = g.neighbors(i)
         if len(nbrs) < 2:
@@ -107,27 +99,22 @@ def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> dict:
         if np.any(z == 0):
             raise InfeasibleRow(f"node {i} has a coincident neighbor position")
         if len(nbrs) == 2:
-            omega[(i, nbrs[0])] = complex(z[1])
-            omega[(i, nbrs[1])] = complex(-z[0])
+            W[i - 1, np.subtract(nbrs, 1)] = z[1], -z[0]
             continue
         # null space of the 1 x m row [z*_ij1 ... z*_ijm]
         _, _, vh = np.linalg.svd(z.reshape(1, -1))
         basis = vh[1:].conj().T
         row = basis @ (rng.standard_normal(basis.shape[1])
                        + 1j * rng.standard_normal(basis.shape[1]))
-        row = row / np.abs(row).max()
-        for k, j in enumerate(nbrs):
-            omega[(i, j)] = complex(row[k])
-    return omega
+        W[i - 1, np.subtract(nbrs, 1)] = row / np.abs(row).max()
+    return W
 
 
-def build_laplacian(g: FormationGraph, w: WeightSet) -> np.ndarray:
-    """Assemble L with l_ii = sum of row weights and l_ij = -w_ij."""
-    L = np.zeros((g.n, g.n), dtype=complex)
-    for (i, j), val in w.omega.items():
-        L[i - 1, j - 1] = -val
-        L[i - 1, i - 1] += val
-    return L
+def laplacian(W: np.ndarray) -> np.ndarray:
+    """diag(W 1) - W for edge weights W (zero diagonal): l_ij = -w_ij and
+    l_ii the row sum, taken left to right (a sequential sum, unlike the
+    pairwise W.sum(1), so the bits do not depend on numpy's blocking)."""
+    return np.diag(np.cumsum(W, axis=1)[:, -1]) - W
 
 
 def kernel_rank_ok(L: np.ndarray) -> bool:
@@ -211,7 +198,7 @@ class LaplacianBundle:
 
     L: np.ndarray
     gains: np.ndarray
-    weights: WeightSet
+    weights: np.ndarray
 
     @property
     def KL(self) -> np.ndarray:

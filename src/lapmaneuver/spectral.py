@@ -18,11 +18,11 @@ import numpy as np
 
 from .errors import (ChainBroken, ExpansionIllConditioned, NonDiagonalizable,
                      NotTwoRooted, PipelineFailed, SpectrumMismatch)
-from .graphs import FormationGraph, incidence_matrix, is_two_rooted
+from .graphs import FormationGraph, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
 from .shapes import (TOLERANCES, Eigensystem, LaplacianBundle, ReferenceShape,
-                     build_laplacian, eigensystem, split_spectrum,
+                     eigensystem, laplacian, split_spectrum,
                      stabilize_gains, synthesize_weights)
 
 MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
@@ -133,10 +133,11 @@ class StabilityAnalysis:
     eigenvalues: np.ndarray
 
 
-def stability_bound(es: Eigensystem, M_tilde: np.ndarray, B: np.ndarray,
+def stability_bound(es: Eigensystem, MBt: np.ndarray,
                     shape: ReferenceShape) -> StabilityAnalysis:
     """Sufficient upper bound on kappa~ keeping the non-kernel spectrum of
-    K L~ in the right-half plane, from the eig `es` of KL; no eig of its own.
+    K L~ in the right-half plane, from the eig `es` of KL and MBt = M~ B^T
+    (`MotionMatrices.MBt`); no eig of its own.
 
     T has columns [1, p*, non-kernel eigenvectors of KL], so T^-1 (KL) T is
     block diagonal with a zero 2x2 leading block and a diagonal J2. With
@@ -164,7 +165,7 @@ def stability_bound(es: Eigensystem, M_tilde: np.ndarray, B: np.ndarray,
         raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
     Q = 1.0 / J2.real
 
-    pert = np.linalg.solve(T, M_tilde @ B.T @ T)[2:, 2:]
+    pert = np.linalg.solve(T, MBt @ T)[2:, 2:]
     norm = np.linalg.norm(Q[:, None] * pert, 2)
     bound = math.inf if norm == 0 else 1.0 / norm
     return StabilityAnalysis(T, bound, ev)
@@ -245,7 +246,7 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
     build the motion matrices, bound the speed gain (boosting the gains by
     the smallest power of two 2^k that admits the requested kappa~),
     assemble L~ and verify the eigenstructure of the motion's case. A static
-    design has M~ = 0, so an unbounded kappa~ bound, boost 1 and K L~ = KL:
+    design has mu~ = 0, so an unbounded kappa~ bound, boost 1 and K L~ = KL:
     it keeps the gain rule's eig of KL and needs no check of its own."""
     stage = "weights"
     try:
@@ -253,14 +254,14 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         if not feas.two_rooted:
             raise NotTwoRooted(f"graph is not 2-rooted ({feas.reason})")
         weights = synthesize_weights(g, shape, seed)
-        L = build_laplacian(g, weights)
+        L = laplacian(weights)
         stage = "gains"
         gains, KL = stabilize_gains(L)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
-        B = incidence_matrix(g)
+        MBt = motion.MBt
         stage = "stability"
-        stability = stability_bound(KL, motion.M_tilde, B, shape)
+        stability = stability_bound(KL, MBt, shape)
         bound, k = stability.kappa_tilde_max, 0
         while spec.kappa_tilde >= stability.kappa_tilde_max:
             # the bound of 2^k KL is 2^k times the h = 1 bound; certify the
@@ -271,12 +272,11 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
             if k > MAX_BOOSTS:
                 raise ValueError(f"kappa_tilde {spec.kappa_tilde} not admitted "
                                  f"after {MAX_BOOSTS} gain doublings")
-            stability = stability_bound(eigensystem(2.0 ** k * KL.matrix),
-                                        motion.M_tilde, B, shape)
+            stability = stability_bound(eigensystem(2.0 ** k * KL.matrix), MBt, shape)
         boost = 2.0 ** k
         gains = gains * boost
         stage = "modified"
-        modified = modified_laplacian(g, L, gains, weights, motion, spec)
+        modified = modified_laplacian(L, gains, weights, motion, spec)
         stage = "verify"
         es, residuals = KL, None
         if motion.case != "static":

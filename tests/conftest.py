@@ -58,6 +58,26 @@ def ring_chord(n: int, irregularity_seed: int = 3):
     return FormationGraph(n, tuple(edges)), center_shape(pts)
 
 
+def incidence_matrix(g: FormationGraph) -> np.ndarray:
+    """The paper's n x |Z| incidence matrix B: +1 at the tail and -1 at the
+    head of each oriented edge, so (B^T p)_k = p_tail - p_head."""
+    B = np.zeros((g.n, len(g.oriented_edges)))
+    for k, (tail, head) in enumerate(g.oriented_edges):
+        B[tail - 1, k] = 1.0
+        B[head - 1, k] = -1.0
+    return B
+
+
+def motion_matrix(g: FormationGraph, mu: np.ndarray) -> np.ndarray:
+    """The paper's n x |Z| motion matrix M(mu), with (M B^T p)_i =
+    sum_j mu_ij (p_i - p_j) for motion parameters mu on the edges (n x n)."""
+    M = np.zeros((g.n, len(g.oriented_edges)), dtype=complex)
+    for k, (tail, head) in enumerate(g.oriented_edges):
+        M[tail - 1, k] = mu[tail - 1, head - 1]
+        M[head - 1, k] = -mu[head - 1, tail - 1]
+    return M
+
+
 @pytest.fixture
 def square():
     return square_graph(), square_shape()

@@ -11,12 +11,11 @@ import numpy as np
 import scipy.linalg
 
 from lapmaneuver import (FormationGraph, MotionSpec, SimConfig,
-                         build_laplacian, design_pipeline, eigensystem,
-                         exact_trajectory, incidence_matrix, integrate, is_connected,
-                         initial_condition, is_two_rooted, measure_motion,
-                         predict_steady_state, run_scenario, shape_error,
-                         shape_error_series, stability_bound,
-                         synthesize_weights)
+                         design_pipeline, eigensystem, exact_trajectory,
+                         initial_condition, is_connected, is_two_rooted,
+                         laplacian, measure_motion, predict_steady_state,
+                         run_scenario, shape_error, shape_error_series,
+                         stability_bound, synthesize_weights)
 
 from conftest import random_instance, square_graph, square_shape
 from test_graphs import brute_force_two_rooted
@@ -35,7 +34,7 @@ def test_criterion_01_kernel_synthesis():
     for seed in range(50):
         n = 4 + seed % 9
         g, shape = random_instance(n, seed=seed)
-        L = build_laplacian(g, synthesize_weights(g, shape, seed=seed))
+        L = laplacian(synthesize_weights(g, shape, seed=seed))
         resid = max(np.abs(L @ np.ones(n)).max(),
                     np.abs(L @ shape.p_star).max())
         worst_kernel = max(worst_kernel, resid)
@@ -167,9 +166,7 @@ def test_criterion_07_perturbation_bound():
     errs = shape_error_series(traj, shape)
     assert errs[-1] < 1e-10
 
-    B = incidence_matrix(g)
-    doubled = stability_bound(eigensystem(2.0 * base.bundle.KL), base.motion.M_tilde,
-                              B, shape)
+    doubled = stability_bound(eigensystem(2.0 * base.bundle.KL), base.motion.MBt, shape)
     doubling = doubled.kappa_tilde_max / bound
     assert abs(doubling - 2.0) < 1e-10
     print(f"[criterion 07] perturbation bound: PASS "

@@ -150,6 +150,37 @@ def test_non_finite_number_exit_2(tmp_path, capsys, over):
     assert "non-finite number" in capsys.readouterr().err
 
 
+NUMBER_FIELDS = {
+    "motion.omega": lambda d, v: d["motion"].update(omega=v),
+    "motion.kappa_tilde": lambda d, v: d["motion"].update(kappa_tilde=v),
+    "seed": lambda d, v: d.update(seed=v),
+    "sim.sample_stride": lambda d, v: d["sim"].update(sample_stride=v),
+    "sim.box_factor": lambda d, v: d["sim"].update(box_factor=v),
+    "sim.divergence_threshold": lambda d, v: d["sim"].update(divergence_threshold=v),
+    "heading_control.gain": lambda d, v: d["sim"]["heading_control"].update(gain=v),
+    "heading_control.schedule.until":
+        lambda d, v: d["sim"]["heading_control"]["schedule"][0].update(until=v),
+    "heading_control.schedule.re":
+        lambda d, v: d["sim"]["heading_control"]["schedule"][0].update(re=v),
+    "shape": lambda d, v: d["shape"][0].__setitem__(0, v),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400", True], ids=["string", "1e400", "true"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_non_number_field_exit_2(tmp_path, capsys, field, value):
+    # a string, a boolean or the literal 1e400 (read as inf) names the field
+    doc = builtin_scenario("traveling_heading")
+    NUMBER_FIELDS[field](doc, "@1e400@" if value == "1e400" else value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"@1e400@"', "1e400"))
+    for command in ("design", "simulate", "verify"):
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {field} must be a finite number")
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
 def test_divergence_exit_3(tmp_path, capsys):
     # a perturbation gain far above any stable step size for the integrator
     path = _write(tmp_path, "enclosing",

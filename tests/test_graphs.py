@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lapmaneuver import FormationGraph, incidence_matrix, is_connected, is_two_rooted
+from lapmaneuver import FormationGraph, is_connected, is_two_rooted
 
 from conftest import random_instance
 
@@ -41,37 +41,6 @@ def brute_force_two_rooted(g: FormationGraph) -> bool:
         if ok:
             return True
     return False
-
-
-def test_single_edge_column():
-    g = FormationGraph(2, ((1, 2),))
-    B = incidence_matrix(g)
-    assert B.shape == (2, 1)
-    assert B[:, 0].tolist() == [1.0, -1.0]
-
-
-def test_columns_sum_to_zero():
-    g, _ = random_instance(7, seed=3)
-    B = incidence_matrix(g)
-    assert np.all(B.T @ np.ones(g.n) == 0)
-
-
-def test_four_cycle_rank():
-    g = FormationGraph(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
-    B = incidence_matrix(g)
-    assert B.shape == (4, 4)
-    assert np.all(np.sum(B == 1, axis=1) == 1)
-    assert np.all(np.sum(B == -1, axis=1) == 1)
-    assert np.linalg.matrix_rank(B) == 3
-
-
-def test_edge_vector_convention():
-    g = FormationGraph(3, ((1, 2), (2, 3), (3, 1)))
-    B = incidence_matrix(g)
-    p = np.array([1 + 2j, -1j, 0.5])
-    z = B.T @ p
-    for k, (i, j) in enumerate(g.oriented_edges):
-        assert z[k] == p[i - 1] - p[j - 1]
 
 
 def test_validation():

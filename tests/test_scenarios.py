@@ -7,8 +7,7 @@ import pytest
 
 from lapmaneuver import (SCENARIO_NAMES, MotionSpec, ScenarioError, SimConfig,
                          builtin_scenario, load_scenario, run_scenario,
-                         scenario_from_dict, shape_error_series,
-                         simulate_scenario)
+                         scenario_from_dict, shape_error_series)
 
 
 def test_builtin_names_all_parse():

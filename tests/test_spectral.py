@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, ChainBroken, FormationGraph,
                          JordanReport, MotionSpec, PipelineFailed,
-                         SpectralReport, SpectrumMismatch,
-                         build_laplacian, builtin_scenario, center_shape,
-                         compile_motion, design_pipeline, incidence_matrix,
-                         modified_laplacian, predict_steady_state,
+                         SpectralReport, SpectrumMismatch, builtin_scenario,
+                         center_shape, design_pipeline, predict_steady_state,
                          scenario_from_dict, stability_bound,
-                         synthesize_weights, verify_motion_spectrum,
-                         verify_translation_jordan)
+                         verify_motion_spectrum, verify_translation_jordan)
 from lapmaneuver.shapes import TOLERANCES
 from lapmaneuver.spectral import MAX_BOOSTS, eigensystem, split_spectrum
 
@@ -189,24 +186,22 @@ def test_zero_perturbation_unbounded(square):
 
 
 def test_gain_boost_doubles_bound(square):
-    g, shape = square
+    _, shape = square
     spec = MotionSpec(omega=1.0, kappa_r=0.025)
     d = _design(spec)
-    B = incidence_matrix(g)
     KL = d.bundle.KL
-    base = stability_bound(eigensystem(KL), d.motion.M_tilde, B, shape)
-    boosted = stability_bound(eigensystem(2.0 * KL), d.motion.M_tilde, B, shape)
+    base = stability_bound(eigensystem(KL), d.motion.MBt, shape)
+    boosted = stability_bound(eigensystem(2.0 * KL), d.motion.MBt, shape)
     assert boosted.kappa_tilde_max == pytest.approx(2 * base.kappa_tilde_max,
                                                    rel=1e-10)
 
 
 def test_bound_monotonic_in_h(square):
-    g, shape = square
+    _, shape = square
     spec = MotionSpec(omega=1.0, kappa_r=0.025)
     d = _design(spec)
-    B = incidence_matrix(g)
     for h in (3.0, 10.0):
-        scaled = stability_bound(eigensystem(h * d.bundle.KL), d.motion.M_tilde, B, shape)
+        scaled = stability_bound(eigensystem(h * d.bundle.KL), d.motion.MBt, shape)
         assert scaled.kappa_tilde_max == pytest.approx(
             h * d.stability.kappa_tilde_max, rel=1e-10)
 
@@ -358,8 +353,7 @@ def test_certificate_is_computed_on_the_shipped_gains():
                          seed=6).stability.kappa_tilde_max
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=1.5 * b1),
                         seed=6)
-    fresh = stability_bound(eigensystem(d.bundle.KL), d.motion.M_tilde, incidence_matrix(g),
-                            shape)
+    fresh = stability_bound(eigensystem(d.bundle.KL), d.motion.MBt, shape)
     assert d.boost == 2.0
     assert d.stability.kappa_tilde_max == fresh.kappa_tilde_max != 2.0 * b1
 
@@ -385,8 +379,8 @@ def test_bound_is_basis_free_on_a_repeated_eigenvalue(name):
     ev = d.stability.eigenvalues[split_spectrum(d.stability.eigenvalues)[2:]]
     i, j = np.triu_indices(ev.size, 1)
     assert np.abs(ev[i] - ev[j]).min() < 1e-12 * np.abs(ev).max()
-    gains, B = d.bundle.gains / d.boost, incidence_matrix(d.graph)
-    bounds = [stability_bound(eigensystem(2.0 ** j * KL), d.motion.M_tilde, B,
+    gains = d.bundle.gains / d.boost
+    bounds = [stability_bound(eigensystem(2.0 ** j * KL), d.motion.MBt,
                               d.shape).kappa_tilde_max / 2.0 ** j
               for KL in (gains[:, None] * d.bundle.L, np.diag(gains) @ d.bundle.L)
               for j in range(12)]
@@ -423,7 +417,7 @@ def _ring_chord_designs(draw):
     except PipelineFailed:
         assume(False)
     KL1 = np.diag(d.bundle.gains / d.boost) @ d.bundle.L
-    b1 = stability_bound(eigensystem(KL1), d.motion.M_tilde, incidence_matrix(g), shape)
+    b1 = stability_bound(eigensystem(KL1), d.motion.MBt, shape)
     return d, KL1, b1.kappa_tilde_max, seed
 
 
@@ -433,10 +427,9 @@ def test_bound_scales_with_the_gain_boost_property(design):
     # exact in exact arithmetic; the eigensolver's rounding differs between KL
     # and 2^j KL (1388 random designs: at most 12.5 eps cond(T)^2, half exact)
     d, KL1, b1, _ = design
-    B = incidence_matrix(d.graph)
     rel = 64 * np.finfo(float).eps * np.linalg.cond(d.stability.T) ** 2
     for j in range(12):
-        scaled = stability_bound(eigensystem(2.0 ** j * KL1), d.motion.M_tilde, B, d.shape)
+        scaled = stability_bound(eigensystem(2.0 ** j * KL1), d.motion.MBt, d.shape)
         assert scaled.kappa_tilde_max == pytest.approx(2.0 ** j * b1, rel=rel)
 
 
