@@ -48,6 +48,8 @@ class MotionSpec:
         for name in ("kappa_t", "kappa_r", "kappa_s", "kappa_tilde"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.center_agent is not None and self.center_agent < 1:
+            raise ValueError("center_agent counts agents from 1")
         if self.v_star != 0 and self.center_agent is not None:
             raise ValueError("v_star cannot be combined with a center agent")
         if self.v_star != 0 and self.kappa_t <= 0:
@@ -119,6 +121,8 @@ def compile_motion(g: FormationGraph, shape: ReferenceShape,
                    spec: MotionSpec) -> MotionMatrices:
     """Split the velocity field into translation, rotation and scaling, take
     one mu per agent from each, and weight them by kappa_t, kappa_r, kappa_s."""
+    if spec.center_agent is not None and spec.center_agent > g.n:
+        raise ValueError(f"center_agent {spec.center_agent} out of range for {g.n} agents")
     parts = ((spec.kappa_t, replace(spec, a=0.0, omega=0.0)),
              (spec.kappa_r, replace(spec, v_star=0j, a=0.0)),
              (spec.kappa_s, replace(spec, v_star=0j, omega=0.0)))

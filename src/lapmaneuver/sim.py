@@ -38,10 +38,14 @@ class HeadingControl:
     schedule: tuple[tuple[float, complex], ...]
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("heading gain must be positive")
+        if min(self.agent, self.neighbor) < 1 or self.agent == self.neighbor:
+            raise ValueError("heading agent and neighbor must be distinct and count from 1")
+        if not 0 < self.gain < np.inf:
+            raise ValueError("heading gain must be positive and finite")
         if not self.schedule:
             raise ValueError("heading schedule is empty")
+        if not np.isfinite(np.array(self.schedule, dtype=complex)).all():
+            raise ValueError("heading schedule must be finite")
 
     def _entry_at(self, t):
         """Schedule index in force at t (or each t): first `until` > t, else last."""
@@ -72,6 +76,10 @@ class SimConfig:
             raise ValueError("sample_stride must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not np.isfinite(self.box_factor):
+            raise ValueError("box_factor must be finite")
+        if not 0 < self.divergence_threshold < np.inf:
+            raise ValueError("divergence_threshold must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,8 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     X[:n, :n] = -gains[:, None] * L_tilde
     seg = np.zeros(steps, dtype=int)  # schedule entry in force at each step
     if h is not None:
+        if max(h.agent, h.neighbor) > n:
+            raise ValueError(f"heading agent/neighbor out of range for {n} agents")
         X[h.agent - 1, h.agent - 1] -= h.gain
         X[h.agent - 1, h.neighbor - 1] += h.gain
         seg = h._entry_at(np.arange(steps) * dt)  # zero-order hold at k dt

@@ -243,11 +243,13 @@ class DesignResult:
 def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
                     seed: int = 0) -> DesignResult:
     """Steps: check the graph is 2-rooted, synthesize weights and gains,
-    build the motion matrices, bound the speed gain (boosting the gains by
-    the smallest power of two 2^k that admits the requested kappa~),
-    assemble L~ and verify the eigenstructure of the motion's case. A static
-    design has mu~ = 0, so an unbounded kappa~ bound, boost 1 and K L~ = KL:
-    it keeps the gain rule's eig of KL and needs no check of its own."""
+    build the motion matrices, bound the speed gain, assemble L~ and verify
+    the eigenstructure of the motion's case. The bound b1 of the gain rule's
+    KL is taken once; a kappa~ it does not admit boosts the gains by 2^k, k
+    the binary exponent of kappa~ / b1, and 2^k b1 certifies the exactly
+    scaled 2^k KL. A static design has mu~ = 0, so an unbounded kappa~ bound,
+    boost 1 and K L~ = KL: it keeps the gain rule's eig of KL and needs no
+    check of its own."""
     stage = "weights"
     try:
         feas = is_two_rooted(g)
@@ -259,21 +261,17 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         gains, KL = stabilize_gains(L)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
-        MBt = motion.MBt
         stage = "stability"
-        stability = stability_bound(KL, MBt, shape)
-        bound, k = stability.kappa_tilde_max, 0
-        while spec.kappa_tilde >= stability.kappa_tilde_max:
-            # the bound of 2^k KL is 2^k times the h = 1 bound; certify the
-            # shipped gains, and on a rounding tie double once more
-            k += 1
-            while k <= MAX_BOOSTS and spec.kappa_tilde >= 2.0 ** k * bound:
-                k += 1
-            if k > MAX_BOOSTS:
-                raise ValueError(f"kappa_tilde {spec.kappa_tilde} not admitted "
-                                 f"after {MAX_BOOSTS} gain doublings")
-            stability = stability_bound(eigensystem(2.0 ** k * KL.matrix), MBt, shape)
-        boost = 2.0 ** k
+        stability = stability_bound(KL, motion.MBt, shape)
+        # fl(q) < 2^k, so kappa~ < 2^k b1; a float quotient overflows to inf
+        # without a warning, and frexp(inf) reads exponent 0: refused here
+        q = spec.kappa_tilde / float(stability.kappa_tilde_max)
+        if not q < 2.0 ** MAX_BOOSTS:
+            raise ValueError(f"kappa_tilde {spec.kappa_tilde} not admitted "
+                             f"after {MAX_BOOSTS} gain doublings")
+        boost = 2.0 ** max(0, math.frexp(q)[1])
+        stability = StabilityAnalysis(stability.T, boost * stability.kappa_tilde_max,
+                                      boost * stability.eigenvalues)
         gains = gains * boost
         stage = "modified"
         modified = modified_laplacian(L, gains, weights, motion, spec)

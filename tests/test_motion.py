@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lapmaneuver import (FormationGraph, MotionSpec, compile_motion,
+from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, compile_motion,
                          design_pipeline, is_two_rooted, laplacian,
                          modified_laplacian, motion_parameters,
                          synthesize_weights, velocity_field)
@@ -239,3 +239,20 @@ def test_spec_validation():
         MotionSpec(a=1.0)
     with pytest.raises(ValueError):
         MotionSpec(kappa_tilde=-0.5)
+
+
+@pytest.mark.parametrize("agent", [0, -1])
+def test_center_agent_counts_from_one(agent):
+    # negative indexing would rotate about agent n or n - 1
+    with pytest.raises(ValueError, match="center_agent counts agents from 1"):
+        MotionSpec(omega=1.0, kappa_r=0.1, center_agent=agent)
+
+
+def test_center_agent_past_n_is_named(square):
+    g, shape = square
+    spec = MotionSpec(omega=1.0, kappa_r=0.1, center_agent=5)
+    with pytest.raises(ValueError, match="center_agent 5 out of range for 4 agents"):
+        compile_motion(g, shape, spec)
+    with pytest.raises(PipelineFailed, match="center_agent 5") as exc:
+        design_pipeline(g, shape, spec)
+    assert exc.value.stage == "motion"

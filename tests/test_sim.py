@@ -394,3 +394,27 @@ def test_rk4_accepts_the_sweep_designs_at_dt_001(n, motion):
     d = design_pipeline(g, shape, motion)
     cfg = SimConfig(dt=0.01, t_end=0.01, seed=n)
     integrate(d.modified.L_tilde, d.bundle.gains, cfg, shape)
+
+
+_HEADING = dict(agent=1, neighbor=2, gain=1.0, schedule=((1.0, 2 + 0j),))
+
+
+@pytest.mark.parametrize("over, match", [
+    ({"gain": np.inf}, "gain"), ({"gain": np.nan}, "gain"),
+    ({"schedule": ((np.nan, 2 + 0j),)}, "schedule must be finite"),
+    ({"schedule": ((1.0, complex(np.inf, 0)),)}, "schedule must be finite"),
+    ({"agent": 0}, "count from 1"), ({"neighbor": 0}, "count from 1"),
+    ({"agent": -1}, "count from 1"), ({"neighbor": 1}, "distinct")])
+def test_heading_control_refuses_bad_fields(over, match):
+    with pytest.raises(ValueError, match=match):
+        HeadingControl(**{**_HEADING, **over})
+
+
+@pytest.mark.parametrize("run", [integrate, exact_trajectory])
+@pytest.mark.parametrize("pair", [{"agent": 5}, {"neighbor": 5}])
+def test_heading_indices_past_n_refused(run, pair):
+    # index n + 1 would land in the affine row of the step matrix
+    d = _design(MotionSpec(v_star=1.0, kappa_t=0.05))
+    cfg = SimConfig(dt=0.01, t_end=1.0, heading=HeadingControl(**{**_HEADING, **pair}))
+    with pytest.raises(ValueError, match="out of range for 4 agents"):
+        run(d.modified.L_tilde, d.bundle.gains, cfg, square_shape())

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,11 +129,16 @@ STATIC = {"motion": {"a": 0.0, "omega": 0.0, "kappa_r": 0.0, "kappa_s": 0.0}}
 def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     # every eig/eigvals of the pipeline and the report, gain rule included:
     # no matrix twice, even formed another way (equal up to rounding), so
-    # the shipped K L and K L~ once each; a static design's K L~ is its K L
+    # the gain rule's K L and the shipped K L~ once each, and one bound; a
+    # boost scales that bound, so the shipped 2^k K L is never decomposed; a
+    # static design's K L~ is its K L
+    from lapmaneuver import spectral
     from lapmaneuver.cli import build_report
 
-    seen = []
+    seen, bounds = [], []
     eig, eigvals = np.linalg.eig, np.linalg.eigvals
+    monkeypatch.setattr(spectral, "stability_bound",
+                        lambda *args: bounds.append(args) or stability_bound(*args))
 
     def counted(fn):
         def wrapper(A):
@@ -152,7 +158,9 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
                    for A in seen)
 
     assert count(d.KL_tilde) == 1
-    assert count(d.bundle.KL) == 1
+    assert count(d.bundle.KL / d.boost) == 1
+    assert count(d.bundle.KL) == (d.boost == 1)
+    assert len(bounds) == 1
     assert all(count(A) == 1 for A in seen)
 
 
@@ -347,15 +355,36 @@ def test_boost_is_capped_at_max_boosts(square):
 
 
 def test_certificate_is_computed_on_the_shipped_gains():
-    # here the bound of 2K differs from twice the bound of K in the last bits
+    # the shipped bound and spectrum are those of K scaled by the boost, which
+    # is exact; a fresh eig of the shipped 2K differs from them in the last
+    # bits here, within the rounding of the scaling property below
     g, shape = random_instance(5, seed=6)
-    b1 = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025),
-                         seed=6).stability.kappa_tilde_max
+    base = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=6)
+    b1 = base.stability.kappa_tilde_max
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=1.5 * b1),
                         seed=6)
-    fresh = stability_bound(eigensystem(d.bundle.KL), d.motion.MBt, shape)
     assert d.boost == 2.0
-    assert d.stability.kappa_tilde_max == fresh.kappa_tilde_max != 2.0 * b1
+    assert d.stability.kappa_tilde_max == 2.0 * b1
+    assert np.array_equal(d.stability.eigenvalues, 2.0 * base.stability.eigenvalues)
+    assert np.array_equal(d.stability.T, base.stability.T)
+    fresh = stability_bound(eigensystem(d.bundle.KL), d.motion.MBt, shape)
+    rel = 64 * np.finfo(float).eps * np.linalg.cond(d.stability.T) ** 2
+    assert fresh.kappa_tilde_max == pytest.approx(2.0 * b1, rel=rel)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_an_overflowing_boost_is_refused(action):
+    # kappa~ / b1 overflows to inf, whose binary exponent reads 0: refused
+    # like any kappa~ past MAX_BOOSTS doublings, whatever the warning filter
+    g, shape = ring_chord(16)
+    spec = MotionSpec(omega=1.0, kappa_r=0.025)
+    d = design_pipeline(g, shape, spec)
+    assert 0.6 < d.stability.kappa_tilde_max / d.boost < 0.7
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(PipelineFailed, match=f"after {MAX_BOOSTS} gain doublings") as exc:
+            design_pipeline(g, shape, dataclasses.replace(spec, kappa_tilde=1.7e308))
+    assert exc.value.stage == "stability"
 
 
 def _irregular_four_cycle():
@@ -412,10 +441,7 @@ def _ring_chord_designs(draw):
     shape = center_shape(r * np.exp(2j * np.pi * np.arange(n) / n)
                          + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
     spec, seed = draw(st.sampled_from(_MOTIONS)), draw(st.integers(0, 3))
-    try:
-        d = design_pipeline(g, shape, spec, seed=seed)
-    except PipelineFailed:
-        assume(False)
+    d = design_pipeline(g, shape, spec, seed=seed)
     KL1 = np.diag(d.bundle.gains / d.boost) @ d.bundle.L
     b1 = stability_bound(eigensystem(KL1), d.motion.MBt, shape)
     return d, KL1, b1.kappa_tilde_max, seed
@@ -437,8 +463,9 @@ def test_bound_scales_with_the_gain_boost_property(design):
 @given(_ring_chord_designs(), st.floats(0.01, 3000.0))
 def test_boost_is_the_smallest_admitting_power_of_two_property(design, multiple):
     d, _, b1, seed = design
-    # kappa~ next to 2^j b1 is a rounding tie: the certified bound of 2^j K
-    # may differ from 2^j b1 in the last bits
+    # kappa~ next to 2^j b1 is a rounding tie: the boost is the binary
+    # exponent of kappa~ / b1 as rounded, which may fall on either side of
+    # 2^j (b1 here is a bound of K L formed by a matmul, within rounding)
     assume(abs(multiple / 2.0 ** round(math.log2(multiple)) - 1) > 1e-9)
     spec = dataclasses.replace(d.spec, kappa_tilde=multiple * b1)
     boosted = design_pipeline(d.graph, d.shape, spec, seed=seed)
