@@ -58,7 +58,7 @@ def build_report(sc: Scenario, design: DesignResult,
         "seeds": {"design": sc.design_seed, "sim": sc.sim.seed},
         "tolerances": TOLERANCES,
         "weights": [[i, j, *_c(design.bundle.weights[i - 1, j - 1])]
-                    for i, j in sorted(design.graph.neighbor_pairs())],
+                    for i in range(1, design.graph.n + 1) for j in design.graph.neighbors(i)],
         "gains": _cvec(design.bundle.gains),
         "gain_boost": design.boost,
         "eigenvalues_KL": _cvec(design.stability.eigenvalues),

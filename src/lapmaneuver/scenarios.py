@@ -43,10 +43,20 @@ class Scenario:
     trajectory_name: str
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ScenarioError(f"missing key '{key}' in {ctx}")
-    return d[key]
+def _object(d, path: str, required: str, optional: str = "") -> dict:
+    """d as a JSON object with the space-separated `required` keys and no key
+    outside them and `optional`, at `path`; a missing or an unknown key is
+    refused by its path (a misspelt optional key would read a default)."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{path or 'scenario document'} must be a JSON object")
+    at = path + "." if path else ""
+    for key in required.split():
+        if key not in d:
+            raise ScenarioError(f"missing key '{at}{key}'")
+    for key in d:
+        if key not in required.split() + optional.split():
+            raise ScenarioError(f"unknown key '{at}{key}'")
+    return d
 
 
 def _number(value, key: str) -> float:
@@ -80,28 +90,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def _parse(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+    _object(doc, "", "graph shape", "name motion sim seed output")
     name = doc.get("name", "unnamed")
-    gd = _require(doc, "graph", "scenario")
-    n = _integer(_require(gd, "n", "graph"), "graph.n")
-    edges = _require(gd, "edges", "graph")
+    gd = _object(doc["graph"], "graph", "n edges")
+    n = _integer(gd["n"], "graph.n")
     graph = FormationGraph(n, tuple(tuple(_integer(v, "graph.edges") for v in e)
-                                    for e in edges))
+                                    for e in gd["edges"]))
 
-    raw = _points(_require(doc, "shape", "scenario"), "shape")
+    raw = _points(doc["shape"], "shape")
     if raw.size != n:
         raise ScenarioError(f"shape has {raw.size} points for n={n} nodes")
     shape = center_shape(raw)
 
-    md = doc.get("motion", {})
+    md = _object(doc.get("motion", {}), "motion", "", "v_star_re v_star_im a omega kappa_t "
+                 "kappa_r kappa_s kappa_tilde rotation_center")
     center = md.get("rotation_center", "centroid")
-    if center == "centroid":
-        center_agent = None
-    else:
-        center_agent = _integer(center, "motion.rotation_center")
-        if not 1 <= center_agent <= n:
-            raise ScenarioError(f"motion.rotation_center {center_agent} out of range")
+    center_agent = None if center == "centroid" else _integer(center, "motion.rotation_center")
+    if center_agent is not None and not 1 <= center_agent <= n:
+        raise ScenarioError(f"motion.rotation_center {center_agent} out of range")
     try:
         spec = MotionSpec(
             v_star=complex(_number(md.get("v_star_re", 0.0), "motion.v_star_re"),
@@ -117,22 +123,21 @@ def _parse(doc: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"invalid motion spec: {exc}") from exc
 
-    sd = doc.get("sim", {})
+    sd = _object(doc.get("sim", {}), "sim", "", "dt t_end seed box_factor divergence_threshold "
+                 "sample_stride initial_condition heading_control method")
     heading = None
     hd = sd.get("heading_control")
     if hd is not None:
-        agent, neighbor = (
-            _integer(_require(hd, k, "heading_control"), f"heading_control.{k}")
-            for k in ("agent", "neighbor"))
-        if not (1 <= agent <= n and 1 <= neighbor <= n):
-            raise ScenarioError("heading_control agent/neighbor out of range")
-        if frozenset((agent, neighbor)) not in graph.edges:
-            raise ScenarioError(
-                f"heading_control pair ({agent},{neighbor}) is not an edge")
+        _object(hd, "sim.heading_control", "agent neighbor schedule", "gain")
+        agent, neighbor = (_integer(hd[k], f"heading_control.{k}") for k in ("agent", "neighbor"))
+        if not (1 <= agent <= n and neighbor in graph.neighbors(agent)):
+            raise ScenarioError(f"heading_control pair ({agent},{neighbor}) is not an edge")
         key = "heading_control.schedule"
+        entries = [_object(s, f"sim.{key}[{k}]", "until re im")
+                   for k, s in enumerate(hd["schedule"])]
         sched = tuple((_number(s["until"], f"{key}.until"),
                        complex(_number(s["re"], f"{key}.re"), _number(s["im"], f"{key}.im")))
-                      for s in _require(hd, "schedule", "heading_control"))
+                      for s in entries)
         heading = HeadingControl(agent, neighbor,
                                  _number(hd.get("gain", 1.0), "heading_control.gain"), sched)
     p0 = sd.get("initial_condition")
@@ -158,10 +163,11 @@ def _parse(doc: dict) -> Scenario:
     method = sd.get("method", "rk4")
     if method not in ("rk4", "exact"):
         raise ScenarioError(f"sim.method must be 'rk4' or 'exact', got {method!r}")
-    out = doc.get("output", {})
+    out = _object(doc.get("output", {}), "output", "", "report trajectory")
     names = out.get("report", "report.json"), out.get("trajectory", "trajectory.csv")
-    if not all(isinstance(s, str) for s in names):
-        raise ScenarioError(f"output names must be strings, got {names}")
+    if not all(isinstance(s, str) and s not in ("", ".", "..") and "/" not in s
+               and "\0" not in s for s in names):
+        raise ScenarioError(f"output names must be plain file names, got {names}")
     seed = _integer(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ScenarioError(f"seed must be non-negative, got {seed}")

@@ -102,9 +102,11 @@ class JordanReport:
     rank: int
 
 
-def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
+def verify_translation_jordan(es: Eigensystem, spec: MotionSpec,
                               shape: ReferenceShape) -> JordanReport:
-    """Check K L~ p* = -kappa~ kappa_t v* 1, K L~ 1 = 0 and rank n-1."""
+    """Check K L~ p* = -kappa~ kappa_t v* 1, K L~ 1 = 0, rank n-1 and, as for
+    the moving case, a right-half-plane remainder off the chain's double zero."""
+    KL_tilde, ev = es.matrix, es.values
     n = KL_tilde.shape[0]
     ones = np.ones(n, dtype=complex)
     drift = spec.kappa_tilde * spec.kappa_t * spec.v_star
@@ -114,12 +116,15 @@ def verify_translation_jordan(KL_tilde: np.ndarray, spec: MotionSpec,
     r_kernel = float(np.linalg.norm(KL_tilde @ ones))
     r_sq = float(np.linalg.norm(KL_tilde @ (KL_tilde @ shape.p_star)))
     rank = int(np.sum(s > TOLERANCES["jordan_rank_sv_rel"] * s[0]))
+    others_min_real = float(ev[split_spectrum(ev)[2:]].real.min(initial=math.inf))
     report = JordanReport(r_chain, r_kernel, r_sq, rank)
     tol = TOLERANCES["jordan_rel"]
-    if r_chain > tol * scale or r_kernel > tol * scale or rank != n - 1:
+    if r_chain > tol * scale or r_kernel > tol * scale or rank != n - 1 \
+            or not others_min_real > 0:
         raise ChainBroken(
             f"chain residual {r_chain:.2e}, kernel residual {r_kernel:.2e} "
-            f"against {tol:.0e} * {scale:.2e}; rank {rank}, want {n - 1}")
+            f"against {tol:.0e} * {scale:.2e}; rank {rank}, want {n - 1}; "
+            f"min Re(others) {others_min_real:.2e}")
     return report
 
 
@@ -281,7 +286,7 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
             es = eigensystem(gains[:, None] * modified.L_tilde)
             residuals = (verify_motion_spectrum(es, motion, spec, shape)
                          if motion.case == "moving"
-                         else verify_translation_jordan(es.matrix, spec, shape))
+                         else verify_translation_jordan(es, spec, shape))
         bundle = LaplacianBundle(L=L, gains=gains, weights=weights)
         return DesignResult(g, shape, spec, bundle, motion, modified,
                             stability, es, residuals, boost)

@@ -239,7 +239,8 @@ def test_criterion_11_two_rooted_agreement():
         g = FormationGraph(n, tuple(pairs[k] for k in idx))
         if not is_connected(g):
             continue
-        assert is_two_rooted(g).two_rooted == brute_force_two_rooted(g)
+        report, roots = is_two_rooted(g), brute_force_two_rooted(g)
+        assert (report.two_rooted, report.certificate) == (roots is not None, roots)
         checked += 1
     print(f"[criterion 11] 2-rooted checker vs brute force: PASS "
-          f"({checked} connected graphs, n <= 6, full agreement)")
+          f"({checked} connected graphs, n <= 6, verdicts and certificates agree)")

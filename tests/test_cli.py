@@ -138,6 +138,51 @@ def test_degenerate_shape_exit_2(tmp_path, capsys):
     assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
 
 
+UNKNOWN_KEYS = {  # one misspelt key per level of a scenario file, by its path
+    "seeed": lambda d: d.update(seeed=1),
+    "graph.m": lambda d: d["graph"].update(m=5),
+    "motion.kappa_tlide": lambda d: d["motion"].update(kappa_tlide=50),
+    "sim.t_edn": lambda d: d["sim"].update(t_edn=1),
+    "sim.heading_control.gian": lambda d: d["sim"]["heading_control"].update(gian=2.0),
+    "sim.heading_control.schedule[1].untl":
+        lambda d: d["sim"]["heading_control"]["schedule"][1].update(untl=75.0),
+    "output.reprot": lambda d: d.update(output={"reprot": "r.json"}),
+}
+
+
+@pytest.mark.parametrize("key", UNKNOWN_KEYS)
+def test_unknown_key_exit_2(tmp_path, capsys, key):
+    # a misspelt key would otherwise run silently with the default it misses
+    doc = builtin_scenario("traveling_heading")
+    UNKNOWN_KEYS[key](doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for command in ("design", "simulate", "verify"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"parse error: unknown key '{key}'\n"
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
+@pytest.mark.parametrize("output", [{"report": "missing/r.json"}, {"report": ""},
+                                    {"trajectory": "."}, {"trajectory": ".."},
+                                    {"trajectory": "t.csv/"},
+                                    {"report": "r\0.json"}])
+def test_output_name_not_a_plain_file_name_exit_2(tmp_path, capsys, output):
+    # refused while parsing, before any design work, not by a traceback on write
+    path = _write(tmp_path, "enclosing", {"output": output})
+    for command in ("design", "simulate"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert "output names must be plain file names" in capsys.readouterr().err
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
+def test_plain_output_names_are_written(tmp_path):
+    path = _write(tmp_path, "enclosing",
+                  {**FAST, "output": {"report": "r.json", "trajectory": "..t"}})
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json", "r.json", "..t"}
+
+
 @pytest.mark.parametrize("over", [{"sim": {"dt": math.nan}},
                                   {"sim": {"t_end": math.inf}},
                                   {"motion": {"kappa_tilde": math.nan}},

@@ -2,16 +2,20 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lapmaneuver import FormationGraph, is_connected, is_two_rooted
+from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, center_shape,
+                         design_pipeline, is_connected, is_two_rooted)
+from lapmaneuver import graphs
 
 from conftest import random_instance
 
 
-def brute_force_two_rooted(g: FormationGraph) -> bool:
-    """Literal check: a 2-node set from which every other node stays
-    reachable after deleting any single node except itself."""
-    adj = g.adjacency()
+def brute_force_two_rooted(g: FormationGraph):
+    """Literal check: the lexicographically first 2-node set from which every
+    other node stays reachable after deleting any single node except itself,
+    or None."""
     nodes = list(range(1, g.n + 1))
 
     def reachable_from(sources, removed):
@@ -19,7 +23,7 @@ def brute_force_two_rooted(g: FormationGraph) -> bool:
         stack = list(seen)
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for v in g.neighbors(u):
                 if v != removed and v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -39,8 +43,13 @@ def brute_force_two_rooted(g: FormationGraph) -> bool:
             if not ok:
                 break
         if ok:
-            return True
-    return False
+            return roots
+    return None
+
+
+def assert_matches_brute_force(g: FormationGraph) -> None:
+    report, roots = is_two_rooted(g), brute_force_two_rooted(g)
+    assert (report.two_rooted, report.certificate) == (roots is not None, roots)
 
 
 def test_validation():
@@ -57,6 +66,7 @@ def test_validation():
 def test_neighbors_symmetric():
     g, _ = random_instance(6, seed=11)
     for i in range(1, 7):
+        assert list(g.neighbors(i)) == sorted(g.neighbors(i))
         for j in g.neighbors(i):
             assert i in g.neighbors(j)
 
@@ -71,6 +81,7 @@ def test_star_not_two_rooted():
     report = is_two_rooted(g)
     assert not report.two_rooted
     assert report.certificate is None
+    assert "node 1" in report.reason
 
 
 def test_four_cycle_two_rooted_certificate():
@@ -99,5 +110,84 @@ def test_two_rooted_matches_brute_force():
         g = FormationGraph(n, tuple(pairs[k] for k in idx))
         if not is_connected(g):
             continue
-        assert is_two_rooted(g).two_rooted == brute_force_two_rooted(g)
+        assert_matches_brute_force(g)
         checked += 1
+
+
+@st.composite
+def block_graphs(draw):
+    """Blocks (cycles and cliques) joined at cut vertices into a chain, each
+    block leaving by another node than it entered by, and the verdict the
+    block structure implies. A chain is 2-rooted (one root among the free
+    nodes of each end block); a defect makes it not: a block joined at a cut
+    vertex, which then separates three parts, or a pendant node hung from a
+    node that is not a free node of an end block. Labels are shuffled."""
+    edges, blocks, size = [], [], 0
+    for k in range(draw(st.integers(1, 3))):
+        kind, m = draw(st.sampled_from(["cycle", "clique"])), draw(st.integers(2, 4))
+        if kind == "cycle":
+            m = max(m, 3)
+        entry = [draw(st.sampled_from(blocks[-1][1:]))] if blocks else []
+        block = entry + list(range(size, size + m - len(entry)))
+        size += m - len(entry)
+        pairs = (zip(block, block[1:] + block[:1]) if kind == "cycle"
+                 else combinations(block, 2))
+        edges += [tuple(p) for p in pairs]
+        blocks.append(block)
+    cuts = [b[0] for b in blocks[1:]]
+    defects = ["none"] + (["shared block", "pendant"] if cuts else [])
+    defect = draw(st.sampled_from(defects))
+    if defect == "shared block":
+        c = draw(st.sampled_from(cuts))
+        edges += [(c, size), (size, size + 1), (size + 1, c)]
+        size += 2
+    elif defect == "pendant":
+        end_free = {v for b in (blocks[0], blocks[-1]) for v in b if v not in cuts}
+        hub = draw(st.sampled_from(sorted(set(range(size)) - end_free)))
+        edges.append((hub, size))
+        size += 1
+    label = draw(st.permutations(range(1, size + 1)))
+    g = FormationGraph(size, tuple((label[i], label[j]) for i, j in edges))
+    return g, defect == "none"
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_graphs())
+def test_two_rooted_on_joined_blocks_property(case):
+    g, chain = case
+    assert is_two_rooted(g).two_rooted == chain
+    assert_matches_brute_force(g)
+
+
+def _three_rings(n: int, chained: bool) -> FormationGraph:
+    """Rings through the node groups 1..m, m+1..2m and 2m+1..3m (m = (n-1)/3):
+    all three through node n, or, when chained, the first two through node n
+    and the last through node 2m of the second."""
+    m = (n - 1) // 3
+    groups = [list(range(1 + k * m, 1 + (k + 1) * m)) for k in range(3)]
+    rings = [groups[0] + [n], groups[1] + [n], groups[2] + [2 * m if chained else n]]
+    return FormationGraph(n, tuple(e for r in rings for e in zip(r, r[1:] + r[:1])))
+
+
+def test_three_rings_at_one_node_scale(monkeypatch):
+    calls = []
+    reachable = graphs._reachable
+
+    def counted(*args):
+        calls.append(args)
+        return reachable(*args)
+
+    monkeypatch.setattr(graphs, "_reachable", counted)
+    n = 100
+    g = _three_rings(n, chained=False)
+    report = is_two_rooted(g)
+    assert report.reason == f"deleting node {n} leaves three or more parts"
+    assert len(calls) <= 2 * n + 1
+    calls.clear()
+    # the chained rings are 2-rooted at the first node of each outer ring
+    assert is_two_rooted(_three_rings(n, chained=True)).certificate == (1, 67)
+    assert len(calls) <= 2 * n + 1
+    shape = center_shape(np.exp(2j * np.pi * np.arange(n) / n) * (1 + np.arange(n) / n))
+    with pytest.raises(PipelineFailed, match="not 2-rooted") as failed:
+        design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025))
+    assert failed.value.stage == "weights"

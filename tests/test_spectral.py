@@ -117,7 +117,27 @@ def test_translation_rank_deficit_detected(square):
     w = q[:, 2]
     broken = d.KL_tilde @ (np.eye(4) - np.outer(w, w.conj()))
     with pytest.raises(ChainBroken, match="rank 2"):
-        verify_translation_jordan(broken, spec, shape)
+        verify_translation_jordan(eigensystem(broken), spec, shape)
+
+
+def test_translation_unstable_remainder_fails_at_verify(square, monkeypatch):
+    # the mutant keeps K L~ on its invariant plane span{1, p*}, so the chain,
+    # the kernel and the rank hold, and negates it on the other eigenvectors
+    from lapmaneuver import spectral
+    g, shape = square
+
+    def mutant(A):
+        es = eigensystem(A)
+        rest = split_spectrum(es.values)[2:]
+        T = np.column_stack([np.ones(4), shape.p_star, es.vectors[:, rest]])
+        flip = T @ np.diag([1.0, 1.0] + [-1.0] * rest.size) @ np.linalg.inv(T)
+        return eigensystem(A @ flip)
+
+    monkeypatch.setattr(spectral, "eigensystem", mutant)
+    with pytest.raises(PipelineFailed, match=r"min Re\(others\) -") as failed:
+        _design(MotionSpec(v_star=1.0, kappa_t=0.05))
+    assert failed.value.stage == "verify" and isinstance(failed.value.cause, ChainBroken)
+    assert "rank 3, want 3" in str(failed.value)
 
 
 STATIC = {"motion": {"a": 0.0, "omega": 0.0, "kappa_r": 0.0, "kappa_s": 0.0}}
