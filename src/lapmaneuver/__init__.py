@@ -13,8 +13,7 @@ from .errors import (ChainBroken, DegenerateShape, DegenerateWeights, Diverged,
                      ZeroEdgeVector, ZeroState)
 from .graphs import FormationGraph, TwoRootedReport, is_connected, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
-                     compile_motion, modified_laplacian, motion_parameters,
-                     velocity_field)
+                     compile_motion, modified_laplacian, motion_parameters)
 from .scenarios import (SCENARIO_NAMES, Scenario, ScenarioResult,
                         builtin_scenario, load_scenario, run_scenario,
                         scenario_from_dict, simulate_scenario)

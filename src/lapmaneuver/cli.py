@@ -2,8 +2,9 @@
 
 Several `--scenario` files run one after another in one process, and the
 largest exit code wins. Exit codes: 0 ok, 1 infeasible design, 2 parse
-error (a malformed file, a non-finite number, a bad value) or outputs
-that two scenario files would share, 3 diverged, 4 verification failure.
+error (a malformed file, a non-finite number, a bad value), an --out that
+is not a usable directory or outputs that two scenario files would share,
+3 diverged, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -200,7 +201,12 @@ def main(argv=None) -> int:
         print(f"output collision: several scenario files would write {shared}; "
               "give each its own output names or run them separately", file=sys.stderr)
         return EXIT_PARSE
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"parse error: --out {out} is not a usable directory ({exc.strerror})",
+              file=sys.stderr)
+        return EXIT_PARSE
     return max(_run_one(args.command, path, out, args.seed) for path in args.scenario)
 
 

@@ -1,6 +1,7 @@
-"""Motion parameter design: steady velocity fields, the combined motion
-parameters mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s (an n x n array
-on the graph's edges, like the weights), and the modified Laplacian.
+"""Motion parameter design: the combined motion parameters
+mu~ = kappa_t mu_t + kappa_r mu_r + kappa_s mu_s (an n x n array on the
+graph's edges, like the weights), taken from the one steady field c 1 + s p*,
+and the modified Laplacian.
 
 (M~ B^T p)_i = sum_j mu~_ij (p_i - p_j), so the paper's M~ B^T is the
 Laplacian of mu~, and L~ = L - kappa~ K^-1 M~ B^T is the Laplacian of the
@@ -12,7 +13,7 @@ steady-state case (`MotionMatrices.case`) from M~ B^T p* = c 1 + s p*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,21 +61,6 @@ class MotionSpec:
             raise ValueError("a requested but kappa_s is zero")
 
 
-def velocity_field(spec: MotionSpec, shape: ReferenceShape) -> np.ndarray:
-    """Stacked desired velocities, one complex number per agent.
-
-    Centroid mode: v* 1 + a p* + i omega p*. Agent mode: (a + i omega)
-    applied to positions relative to the designated agent, which becomes the
-    instantaneous center of rotation/scaling.
-    """
-    p = shape.p_star
-    if spec.center_agent is not None:
-        rel = p - p[spec.center_agent - 1]
-        return (spec.a + 1j * spec.omega) * rel
-    ones = np.ones(shape.n, dtype=complex)
-    return spec.v_star * ones + (spec.a + 1j * spec.omega) * p
-
-
 def motion_parameters(g: FormationGraph, shape: ReferenceShape,
                       v_f: np.ndarray) -> np.ndarray:
     """One nonzero mu per agent: the desired velocity divided by the first
@@ -119,20 +105,19 @@ class MotionMatrices:
 
 def compile_motion(g: FormationGraph, shape: ReferenceShape,
                    spec: MotionSpec) -> MotionMatrices:
-    """Split the velocity field into translation, rotation and scaling, take
-    one mu per agent from each, and weight them by kappa_t, kappa_r, kappa_s."""
+    """Compile the spec to M~ B^T p* = c 1 + s p*, with s = kappa_s a +
+    i kappa_r omega and c = kappa_t v* (about a center agent, c = -s p*_agent,
+    which holds that agent still), and take one mu per agent from the field
+    c 1 + s p*. `motion_parameters` picks each row's edge from the shape
+    alone, so it is linear in the field and mu~ is the paper's
+    kappa_t mu_t + kappa_r mu_r + kappa_s mu_s."""
     if spec.center_agent is not None and spec.center_agent > g.n:
         raise ValueError(f"center_agent {spec.center_agent} out of range for {g.n} agents")
-    parts = ((spec.kappa_t, replace(spec, a=0.0, omega=0.0)),
-             (spec.kappa_r, replace(spec, v_star=0j, a=0.0)),
-             (spec.kappa_s, replace(spec, v_star=0j, omega=0.0)))
-    mu_tilde = sum(gain * motion_parameters(g, shape, velocity_field(part, shape))
-                   for gain, part in parts)
-    shape_coeff = spec.kappa_s * spec.a + 1j * spec.kappa_r * spec.omega
-    # a relative-to-agent field is the centroid field plus a uniform shift
-    uniform = (spec.kappa_t * spec.v_star if spec.center_agent is None
-               else -shape_coeff * shape.p_star[spec.center_agent - 1])
-    return MotionMatrices(mu_tilde, complex(uniform), complex(shape_coeff))
+    s = complex(spec.kappa_s * spec.a + 1j * spec.kappa_r * spec.omega)
+    shape_part = s * shape.p_star
+    c = complex(spec.kappa_t * spec.v_star if spec.center_agent is None
+                else -shape_part[spec.center_agent - 1])
+    return MotionMatrices(motion_parameters(g, shape, c + shape_part), c, s)
 
 
 @dataclass(frozen=True)

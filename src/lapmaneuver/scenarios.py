@@ -92,6 +92,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def _parse(doc: dict) -> Scenario:
     _object(doc, "", "graph shape", "name motion sim seed output")
     name = doc.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {name!r}")
     gd = _object(doc["graph"], "graph", "n edges")
     n = _integer(gd["n"], "graph.n")
     graph = FormationGraph(n, tuple(tuple(_integer(v, "graph.edges") for v in e)
@@ -102,29 +104,27 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError(f"shape has {raw.size} points for n={n} nodes")
     shape = center_shape(raw)
 
-    md = _object(doc.get("motion", {}), "motion", "", "v_star_re v_star_im a omega kappa_t "
-                 "kappa_r kappa_s kappa_tilde rotation_center")
+    # numeric keys are read when present; an absent one takes the dataclass default
+    reals = "a omega kappa_t kappa_r kappa_s kappa_tilde".split()
+    md = _object(doc.get("motion", {}), "motion", "", "v_star_re v_star_im rotation_center "
+                 + " ".join(reals))
     center = md.get("rotation_center", "centroid")
     center_agent = None if center == "centroid" else _integer(center, "motion.rotation_center")
     if center_agent is not None and not 1 <= center_agent <= n:
         raise ScenarioError(f"motion.rotation_center {center_agent} out of range")
+    motion = {k: _number(md[k], f"motion.{k}") for k in reals if k in md}
+    if "v_star_re" in md or "v_star_im" in md:
+        motion["v_star"] = complex(*(_number(md.get(k, 0.0), f"motion.{k}")
+                                     for k in ("v_star_re", "v_star_im")))
     try:
-        spec = MotionSpec(
-            v_star=complex(_number(md.get("v_star_re", 0.0), "motion.v_star_re"),
-                           _number(md.get("v_star_im", 0.0), "motion.v_star_im")),
-            a=_number(md.get("a", 0.0), "motion.a"),
-            omega=_number(md.get("omega", 0.0), "motion.omega"),
-            kappa_t=_number(md.get("kappa_t", 0.0), "motion.kappa_t"),
-            kappa_r=_number(md.get("kappa_r", 0.0), "motion.kappa_r"),
-            kappa_s=_number(md.get("kappa_s", 0.0), "motion.kappa_s"),
-            kappa_tilde=_number(md.get("kappa_tilde", 1.0), "motion.kappa_tilde"),
-            center_agent=center_agent,
-        )
+        spec = MotionSpec(center_agent=center_agent, **motion)
     except ValueError as exc:
         raise ScenarioError(f"invalid motion spec: {exc}") from exc
 
-    sd = _object(doc.get("sim", {}), "sim", "", "dt t_end seed box_factor divergence_threshold "
-                 "sample_stride initial_condition heading_control method")
+    readers = {"dt": _number, "t_end": _number, "seed": _integer, "box_factor": _number,
+               "divergence_threshold": _number, "sample_stride": _integer}
+    sd = _object(doc.get("sim", {}), "sim", "", "initial_condition heading_control method "
+                 + " ".join(readers))
     heading = None
     hd = sd.get("heading_control")
     if hd is not None:
@@ -146,17 +146,8 @@ def _parse(doc: dict) -> Scenario:
         if p0.size != n:
             raise ScenarioError("sim.initial_condition size mismatch")
     try:
-        sim = SimConfig(
-            dt=_number(sd.get("dt", 1e-3), "sim.dt"),
-            t_end=_number(sd.get("t_end", 10.0), "sim.t_end"),
-            p0=p0,
-            seed=_integer(sd.get("seed", 0), "sim.seed"),
-            box_factor=_number(sd.get("box_factor", 2.0), "sim.box_factor"),
-            divergence_threshold=_number(sd.get("divergence_threshold", 1e9),
-                                         "sim.divergence_threshold"),
-            sample_stride=_integer(sd.get("sample_stride", 1), "sim.sample_stride"),
-            heading=heading,
-        )
+        sim = SimConfig(p0=p0, heading=heading, **{k: read(sd[k], f"sim.{k}")
+                                                   for k, read in readers.items() if k in sd})
     except ValueError as exc:
         raise ScenarioError(f"invalid sim config: {exc}") from exc
 

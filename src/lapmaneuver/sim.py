@@ -76,8 +76,10 @@ class SimConfig:
             raise ValueError("sample_stride must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not np.isfinite(self.box_factor):
-            raise ValueError("box_factor must be finite")
+        if not (np.isfinite(self.box_factor) and self.box_factor != 0):
+            raise ValueError("box_factor must be finite and nonzero")
+        if self.p0 is not None and not np.any(self.p0):
+            raise ValueError("initial condition is the zero configuration")
         if not 0 < self.divergence_threshold < np.inf:
             raise ValueError("divergence_threshold must be positive and finite")
 
@@ -220,6 +222,8 @@ def shape_error_series(traj: Trajectory, shape: ReferenceShape) -> np.ndarray:
     P = shape_projector(shape)
     states = traj.states
     norms = np.linalg.norm(states, axis=1)
+    if not norms.all():
+        raise ZeroState("shape error undefined for the zero configuration")
     resid = np.linalg.norm(states - states @ P.T, axis=1)
     return resid / norms
 

@@ -102,14 +102,14 @@ class JordanReport:
     rank: int
 
 
-def verify_translation_jordan(es: Eigensystem, spec: MotionSpec,
-                              shape: ReferenceShape) -> JordanReport:
-    """Check K L~ p* = -kappa~ kappa_t v* 1, K L~ 1 = 0, rank n-1 and, as for
-    the moving case, a right-half-plane remainder off the chain's double zero."""
+def verify_translation_jordan(es: Eigensystem, motion: MotionMatrices,
+                              spec: MotionSpec, shape: ReferenceShape) -> JordanReport:
+    """Check K L~ p* = -kappa~ c 1, K L~ 1 = 0, rank n-1 and, as for the
+    moving case, a right-half-plane remainder off the chain's double zero."""
     KL_tilde, ev = es.matrix, es.values
     n = KL_tilde.shape[0]
     ones = np.ones(n, dtype=complex)
-    drift = spec.kappa_tilde * spec.kappa_t * spec.v_star
+    drift = spec.kappa_tilde * motion.uniform_coeff
     s = np.linalg.svd(KL_tilde, compute_uv=False)
     scale = s[0] * np.linalg.norm(shape.p_star)
     r_chain = float(np.linalg.norm(KL_tilde @ shape.p_star + drift * ones))
@@ -286,7 +286,7 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
             es = eigensystem(gains[:, None] * modified.L_tilde)
             residuals = (verify_motion_spectrum(es, motion, spec, shape)
                          if motion.case == "moving"
-                         else verify_translation_jordan(es, spec, shape))
+                         else verify_translation_jordan(es, motion, spec, shape))
         bundle = LaplacianBundle(L=L, gains=gains, weights=weights)
         return DesignResult(g, shape, spec, bundle, motion, modified,
                             stability, es, residuals, boost)

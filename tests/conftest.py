@@ -78,6 +78,17 @@ def motion_matrix(g: FormationGraph, mu: np.ndarray) -> np.ndarray:
     return M
 
 
+def motion_fields(spec, shape) -> tuple:
+    """The paper's three steady fields of a motion spec with their gains:
+    (kappa_t, v* 1), (kappa_r, i omega p*) and (kappa_s, a p*), positions
+    taken relative to the center agent when there is one."""
+    p = shape.p_star
+    if spec.center_agent is not None:
+        p = p - p[spec.center_agent - 1]
+    return ((spec.kappa_t, spec.v_star * np.ones(shape.n, dtype=complex)),
+            (spec.kappa_r, 1j * spec.omega * p), (spec.kappa_s, spec.a * p))
+
+
 @pytest.fixture
 def square():
     return square_graph(), square_shape()

@@ -52,7 +52,11 @@ def test_report_round_trips(tmp_path):
     path = _write(tmp_path, "shaped_consensus_inward", FAST)
     assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     text = (tmp_path / "report.json").read_text()
-    report = json.loads(text)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(text, parse_constant=refuse)  # strict: no NaN or Infinity
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
 
 
@@ -113,6 +117,9 @@ MALFORMED = {
     "v_star with an agent center": lambda d: d["motion"].update(rotation_center=2),
     "negative seed": lambda d: d.update(seed=-3),
     "negative sim seed": lambda d: d["sim"].update(seed=-3),
+    "name not a string": lambda d: d.update(name=["x"]),
+    "all-zero initial condition": lambda d: d["sim"].update(initial_condition=[[0, 0]] * 4),
+    "zero box factor": lambda d: d["sim"].update(box_factor=0),
 }
 
 
@@ -127,6 +134,19 @@ def test_malformed_file_exit_2(tmp_path, capsys, mutate):
         assert code == 2
         assert capsys.readouterr().err.startswith("parse error: ")
     assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["existing file", "path below a file"])
+def test_out_not_a_directory_exit_2(tmp_path, capsys, below):
+    # refused before any design work, naming the path, not a mkdir traceback
+    path = _write(tmp_path, "enclosing")
+    out = tmp_path / "taken" / below if below else tmp_path / "taken"
+    (tmp_path / "taken").write_text("")
+    for command in ("design", "simulate", "verify"):
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: --out {out} is not a usable directory")
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json", "taken"}
 
 
 def test_degenerate_shape_exit_2(tmp_path, capsys):

@@ -6,30 +6,64 @@ from hypothesis import strategies as st
 from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, compile_motion,
                          design_pipeline, is_two_rooted, laplacian,
                          modified_laplacian, motion_parameters,
-                         synthesize_weights, velocity_field)
+                         synthesize_weights)
 
-from conftest import (incidence_matrix, motion_matrix, random_instance,
-                      ring_chord, square_graph)
+from conftest import (incidence_matrix, motion_fields, motion_matrix,
+                      random_instance, ring_chord, square_graph)
 
 
 def test_pure_rotation_field(square):
     g, shape = square
-    vf = velocity_field(MotionSpec(omega=1.0, kappa_r=1.0), shape)
-    assert np.allclose(vf, 1j * shape.p_star)
+    mm = compile_motion(g, shape, MotionSpec(omega=1.0, kappa_r=1.0))
+    assert (mm.uniform_coeff, mm.shape_coeff) == (0, 1j)
+    assert np.allclose(mm.MBt @ shape.p_star, 1j * shape.p_star)
 
 
 def test_pure_translation_field(square):
-    _, shape = square
-    vf = velocity_field(MotionSpec(v_star=1 + 0j, kappa_t=1.0), shape)
-    assert np.allclose(vf, np.ones(4))
+    g, shape = square
+    mm = compile_motion(g, shape, MotionSpec(v_star=1 + 0j, kappa_t=1.0))
+    assert (mm.uniform_coeff, mm.shape_coeff) == (1, 0)
+    assert np.allclose(mm.MBt @ shape.p_star, np.ones(4))
 
 
 def test_agent_centered_field_zero_at_center(square):
-    _, shape = square
+    g, shape = square
     spec = MotionSpec(omega=1.0, kappa_r=1.0, center_agent=3)
-    vf = velocity_field(spec, shape)
-    assert vf[2] == 0
-    assert np.allclose(vf, 1j * (shape.p_star - shape.p_star[2]))
+    mm = compile_motion(g, shape, spec)
+    assert (mm.uniform_coeff, mm.shape_coeff) == (-1j * shape.p_star[2], 1j)
+    assert not mm.mu_tilde[2].any()  # the center agent stands still, exactly
+    assert np.allclose(mm.MBt @ shape.p_star, 1j * (shape.p_star - shape.p_star[2]))
+
+
+_rates = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)  # no underflow
+_gains = st.floats(1e-3, 1.0)
+
+
+@st.composite
+def _specs(draw, n):
+    center = draw(st.none() | st.integers(1, n))
+    v_star = 0j if center else complex(draw(_rates), draw(_rates))
+    return MotionSpec(v_star=v_star, a=draw(_rates), omega=draw(_rates),
+                      kappa_t=draw(_gains), kappa_r=draw(_gains), kappa_s=draw(_gains),
+                      center_agent=center)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(4, 12), st.integers(0, 2**32 - 1))
+def test_one_field_is_the_papers_three_part_sum_property(data, n, seed):
+    # mu~ from c 1 + s p* against kappa_t mu_t + kappa_r mu_r + kappa_s mu_s
+    g, shape = random_instance(n, seed)
+    assume(is_two_rooted(g).two_rooted)
+    spec = data.draw(_specs(n))
+    mm = compile_motion(g, shape, spec)
+    paper = sum(gain * motion_parameters(g, shape, field)
+                for gain, field in motion_fields(spec, shape))
+    assert np.array_equal(mm.mu_tilde != 0, paper != 0)
+    # relative to the terms of c + s p*_i over z*_ij: p*_i - p*_agent may cancel
+    rows, cols = np.nonzero(paper)
+    z = np.array([shape.edge_vector(i + 1, j + 1) for i, j in zip(rows, cols)])
+    scale = (abs(mm.uniform_coeff) + abs(mm.shape_coeff) * np.abs(shape.p_star[rows])) / abs(z)
+    assert np.all(np.abs(mm.mu_tilde - paper)[rows, cols] <= 1e-14 * scale)
 
 
 def test_zero_velocity_gives_empty_row(square):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -84,6 +85,15 @@ def test_v_star_with_rotation_center_names_the_conflict():
     doc = builtin_scenario("enclosing", {"motion": {"v_star_re": 1.0, "kappa_t": 0.05}})
     with pytest.raises(ScenarioError, match="v_star cannot be combined with a center agent"):
         scenario_from_dict(doc)
+
+
+def test_minimal_document_takes_the_dataclass_defaults():
+    doc = builtin_scenario("traveling_heading")
+    sc = scenario_from_dict({"graph": doc["graph"], "shape": doc["shape"]})
+    assert sc.spec == MotionSpec()
+    for field in dataclasses.fields(SimConfig):
+        assert getattr(sc.sim, field.name) == getattr(SimConfig(), field.name), field.name
+    assert (sc.name, sc.design_seed, sc.method) == ("unnamed", 0, "rk4")
 
 
 def test_load_scenario_round_trip(tmp_path):

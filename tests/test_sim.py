@@ -205,6 +205,22 @@ def test_shape_error_zero_state(square):
         shape_error(np.zeros(4), shape)
 
 
+def test_shape_error_series_zero_state(square):
+    _, shape = square
+    states = np.ones((3, 4), dtype=complex)
+    states[1] = 0
+    with pytest.raises(ZeroState):
+        shape_error_series(Trajectory(np.arange(3.0), states), shape)
+
+
+@pytest.mark.parametrize("kwargs", [{"p0": np.zeros(4, dtype=complex)}, {"box_factor": 0.0}],
+                         ids=["zero p0", "zero box"])
+def test_zero_initial_condition_refused(kwargs):
+    # the zero configuration has no shape error: report.json would read NaN
+    with pytest.raises(ValueError, match="zero configuration|nonzero"):
+        SimConfig(**kwargs)
+
+
 def test_measure_rotation(square):
     _, shape = square
     d = _design(MotionSpec(omega=1.0, kappa_r=0.025))

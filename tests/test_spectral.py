@@ -117,7 +117,7 @@ def test_translation_rank_deficit_detected(square):
     w = q[:, 2]
     broken = d.KL_tilde @ (np.eye(4) - np.outer(w, w.conj()))
     with pytest.raises(ChainBroken, match="rank 2"):
-        verify_translation_jordan(eigensystem(broken), spec, shape)
+        verify_translation_jordan(eigensystem(broken), d.motion, spec, shape)
 
 
 def test_translation_unstable_remainder_fails_at_verify(square, monkeypatch):
