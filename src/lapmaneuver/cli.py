@@ -1,10 +1,10 @@
 """Command-line interface: design, simulate and verify scenario files.
 
-Several `--scenario` files run one after another in one process, and the
-largest exit code wins. Exit codes: 0 ok, 1 infeasible design, 2 parse
-error (a malformed file, a non-finite number, a bad value), an --out that
-is not a usable directory or outputs that two scenario files would share,
-3 diverged, 4 verification failure.
+Every `--scenario` file is read once, before any work, and the files that
+parse run one after another in one process; the largest exit code wins.
+Exit codes: 0 ok, 1 infeasible design, 2 parse error (a malformed file, a
+non-finite number, a bad value), an --out that is not a usable directory or
+an output path the run would write twice, 3 diverged, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -97,33 +97,23 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-def _load(path: str, seed) -> Scenario:
-    sc = load_scenario(path)
-    return sc if seed is None else dataclasses.replace(sc, design_seed=seed)
-
-
-def cmd_design(path: str, out: Path, seed) -> int:
-    sc = _load(path, seed)
+def cmd_design(sc: Scenario, report: Path) -> int:
     design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
-    write_report(build_report(sc, design), out / sc.report_name)
-    print(f"design ok: report written to {out / sc.report_name}")
+    write_report(build_report(sc, design), report)
+    print(f"design ok: report written to {report}")
     return EXIT_OK
 
 
-def cmd_simulate(path: str, out: Path, seed) -> int:
-    sc = _load(path, seed)
+def cmd_simulate(sc: Scenario, report: Path, trajectory: Path) -> int:
     result = simulate_scenario(sc)
-    write_report(build_report(sc, result.design, result.trajectory),
-                 out / sc.report_name)
-    write_trajectory_csv(result.trajectory, out / sc.trajectory_name)
-    print(f"simulate ok: {out / sc.trajectory_name} "
-          f"({result.trajectory.times.size} samples)")
+    write_report(build_report(sc, result.design, result.trajectory), report)
+    write_trajectory_csv(result.trajectory, trajectory)
+    print(f"simulate ok: {trajectory} ({result.trajectory.times.size} samples)")
     return EXIT_OK
 
 
-def cmd_verify(path: str, out: Path, seed) -> int:
+def cmd_verify(sc: Scenario) -> int:
     """Print the checks that certified the design `design` ships."""
-    sc = _load(path, seed)
     design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     if design.motion.case == "moving":
         print(f"PASS moving-eigenvalue: moving residual "
@@ -141,33 +131,15 @@ def cmd_verify(path: str, out: Path, seed) -> int:
     return EXIT_OK
 
 
-def _shared_output(command: str, paths: list, out: Path) -> Path | None:
-    """An output file that two of the scenario files would both write."""
-    if command == "verify" or len(paths) < 2:
-        return None
-    seen: set = set()
-    for path in paths:
-        try:
-            sc = load_scenario(path)
-        except ScenarioError:
-            continue  # reported by its own task
-        names = {out / sc.report_name}
-        if command == "simulate":
-            names.add(out / sc.trajectory_name)
-        if names & seen:
-            return min(names & seen)
-        seen |= names
-    return None
+# each command's handler and the output names it writes, in the handler's argument order
+COMMANDS = {"design": (cmd_design, lambda sc: (sc.report_name,)),
+            "simulate": (cmd_simulate, lambda sc: (sc.report_name, sc.trajectory_name)),
+            "verify": (cmd_verify, lambda sc: ())}
 
 
-def _run_one(cmd: str, path: str, out: Path, seed) -> int:
-    handler = {"design": cmd_design, "simulate": cmd_simulate,
-               "verify": cmd_verify}[cmd]
+def _run_one(handler, sc: Scenario, paths: list) -> int:
     try:
-        return handler(path, out, seed)
-    except ScenarioError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return handler(sc, *paths)
     except Diverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -195,11 +167,23 @@ def main(argv=None) -> int:
                        help="override the design seed (non-negative)")
     args = parser.parse_args(argv)
 
-    out = Path(args.out)
-    shared = _shared_output(args.command, args.scenario, out)
-    if shared is not None:
-        print(f"output collision: several scenario files would write {shared}; "
-              "give each its own output names or run them separately", file=sys.stderr)
+    handler, outputs = COMMANDS[args.command]
+    out, code, plan = Path(args.out), EXIT_OK, []
+    for path in args.scenario:  # each file is read once, before any work
+        try:
+            sc = load_scenario(path)
+        except ScenarioError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            code = EXIT_PARSE
+            continue
+        if args.seed is not None:
+            sc = dataclasses.replace(sc, design_seed=args.seed)
+        plan.append((sc, [out / name for name in outputs(sc)]))
+    written = [p for _, paths in plan for p in paths]
+    shared = [p for p in written if written.count(p) > 1]
+    if shared:
+        print(f"output collision: the run would write {shared[0]} twice; "
+              "give each output its own name or run the files separately", file=sys.stderr)
         return EXIT_PARSE
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -207,7 +191,7 @@ def main(argv=None) -> int:
         print(f"parse error: --out {out} is not a usable directory ({exc.strerror})",
               file=sys.stderr)
         return EXIT_PARSE
-    return max(_run_one(args.command, path, out, args.seed) for path in args.scenario)
+    return max([code] + [_run_one(handler, sc, paths) for sc, paths in plan])
 
 
 if __name__ == "__main__":

@@ -96,12 +96,11 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError(f"name must be a string, got {name!r}")
     gd = _object(doc["graph"], "graph", "n edges")
     n = _integer(gd["n"], "graph.n")
+    raw = _points(doc["shape"], "shape")
+    if raw.size != n:  # compared before the graph of n nodes is built
+        raise ScenarioError(f"shape has {raw.size} points for n={n} nodes")
     graph = FormationGraph(n, tuple(tuple(_integer(v, "graph.edges") for v in e)
                                     for e in gd["edges"]))
-
-    raw = _points(doc["shape"], "shape")
-    if raw.size != n:
-        raise ScenarioError(f"shape has {raw.size} points for n={n} nodes")
     shape = center_shape(raw)
 
     # numeric keys are read when present; an absent one takes the dataclass default
@@ -171,10 +170,20 @@ def _non_finite(token: str):
     raise ValueError(f"non-finite number {token} is not allowed")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is refused, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key '{key}'")
+        doc[key] = value
+    return doc
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=_non_finite)
+            doc = json.load(fh, parse_constant=_non_finite, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except (OSError, ValueError) as exc:

@@ -165,15 +165,15 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
-    seg = np.zeros(steps, dtype=int)  # schedule entry in force at each step
+    starts = np.zeros(1, dtype=int)  # first step of each setpoint segment
     if h is not None:
         if max(h.agent, h.neighbor) > n:
             raise ValueError(f"heading agent/neighbor out of range for {n} agents")
         X[h.agent - 1, h.agent - 1] -= h.gain
         X[h.agent - 1, h.neighbor - 1] += h.gain
-        seg = h._entry_at(np.arange(steps) * dt)  # zero-order hold at k dt
+        seg = h._entry_at(np.arange(steps) * dt)  # entry in force at each step (zero-order hold)
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
     preflight(X[:n, :n], dt)
-    starts = np.flatnonzero(np.diff(seg, prepend=-1))
     keep = np.union1d(np.arange(0, steps, cfg.sample_stride), steps)  # sampled steps
     samples = np.empty((keep.size, n), dtype=complex)
     x = np.append(initial_condition(cfg, shape), 1.0)

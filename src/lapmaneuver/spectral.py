@@ -290,7 +290,5 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         bundle = LaplacianBundle(L=L, gains=gains, weights=weights)
         return DesignResult(g, shape, spec, bundle, motion, modified,
                             stability, es, residuals, boost)
-    except PipelineFailed:
-        raise
     except Exception as exc:
         raise PipelineFailed(stage, exc) from exc

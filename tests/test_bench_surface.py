@@ -2,15 +2,18 @@
 
 Its tracer binds the `cfg` and `path` arguments by name, times the two
 verify functions and counts design_pipeline's boost; its checks read the
-design's Laplacian, gains and L~ and a failure's stage. A rename there
-breaks the benchmark rather than the package, so the surface is pinned here.
+design's Laplacian, gains and L~ and a failure's stage; its workloads load
+scenario files and documents, design from a scenario's fields and read a
+simulated trajectory. A rename there breaks the benchmark rather than the
+package, so the surface is pinned here.
 """
 
 import inspect
 
 import numpy as np
 
-from lapmaneuver import MotionSpec, PipelineFailed, cli, design_pipeline, sim, spectral
+from lapmaneuver import (MotionSpec, PipelineFailed, builtin_scenario, cli, design_pipeline,
+                         scenarios, sim, spectral)
 
 
 def _public_function(module, name):
@@ -38,3 +41,15 @@ def test_traced_functions_and_parameters():
         assert arg in inspect.signature(getattr(module, name)).parameters
     for name in ("design_pipeline", "verify_motion_spectrum", "verify_translation_jordan"):
         assert _public_function(spectral, name)
+
+
+def test_scenario_functions_and_fields():
+    for name in ("load_scenario", "scenario_from_dict", "simulate_scenario"):
+        assert _public_function(scenarios, name)
+    doc = builtin_scenario("enclosing", {"sim": {"t_end": 1.0}})
+    sc = scenarios.scenario_from_dict(doc)
+    assert (sc.graph.n, sc.shape.n, sc.design_seed) == (5, 5, 0)
+    assert isinstance(sc.spec, MotionSpec) and isinstance(sc.sim, sim.SimConfig)
+    traj = scenarios.simulate_scenario(sc).trajectory
+    assert isinstance(traj.times, np.ndarray) and isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (traj.times.size, 5)

@@ -6,6 +6,7 @@ import pytest
 
 from lapmaneuver import (SpectrumMismatch, Trajectory, builtin_scenario,
                          design_pipeline, load_scenario, run_scenario)
+from lapmaneuver import cli
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
 
@@ -346,6 +347,31 @@ def test_seed_override_changes_weights(tmp_path):
     assert r1["weights"] != r2["weights"]
 
 
+DUPLICATE_KEYS = {  # one key repeated in one object per level, inserted into the raw text
+    "seed": ('{"name"', '{"seed": 1, "name"'),
+    "n": ('"graph": {', '"graph": {"n": 4, '),
+    "kappa_tilde": ('"motion": {', '"motion": {"kappa_tilde": 20.0, '),
+    "dt": ('"sim": {', '"sim": {"dt": 0.02, '),
+    "gain": ('"heading_control": {', '"heading_control": {"gain": 2.0, '),
+    "until": ('"schedule": [{', '"schedule": [{"until": 10.0, '),
+    "report": ('"output": {', '"output": {"report": "a.json", '),
+}
+
+
+@pytest.mark.parametrize("key", DUPLICATE_KEYS)
+def test_duplicate_key_exit_2(tmp_path, capsys, key):
+    # json would keep the last value silently
+    text = json.dumps(builtin_scenario("traveling_heading", {"output": {"report": "r.json"}}))
+    old, new = DUPLICATE_KEYS[key]
+    assert text.count(old) == 1
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace(old, new))
+    for command in ("design", "simulate", "verify"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {path}: duplicate key '{key}'\n"
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
 def test_multiple_scenarios_worst_exit(tmp_path):
     good = _write(tmp_path, "enclosing", fname="good.json")
     bad = tmp_path / "bad.json"
@@ -401,3 +427,47 @@ def test_colliding_outputs_refused(tmp_path, capsys):
     assert code == 0
     assert {f.name for f in out.iterdir()} == {"report.json", "trajectory.csv",
                                                "b.json", "b.csv"}
+
+
+def test_each_file_is_read_once_before_any_design(tmp_path, monkeypatch):
+    a = _write(tmp_path, "enclosing", fname="a.json")
+    b = _write(tmp_path, "spiral_outward", {"output": {"report": "b_report.json"}},
+               fname="b.json")
+    events = []
+
+    def traced(fn, event):
+        def call(*args, **kwargs):
+            events.append(event)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "load_scenario", traced(cli.load_scenario, "load"))
+    monkeypatch.setattr(cli, "design_pipeline", traced(cli.design_pipeline, "design"))
+    assert main(["design", "--scenario", str(a), "--scenario", str(b),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert events == ["load", "load", "design", "design"]
+
+
+def test_parse_errors_come_before_any_run(tmp_path, capsys):
+    # the infeasible file is named first, yet runs after the other file is refused
+    infeasible = _write(tmp_path, "traveling_heading", STAR, fname="star.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("nonsense")
+    code = main(["design", "--scenario", str(infeasible), "--scenario", str(bad),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["parse error", "infeasible"]
+
+
+def test_one_file_naming_one_output_twice(tmp_path, capsys):
+    # simulate would overwrite its report with the trajectory; design writes one file
+    path = _write(tmp_path, "enclosing",
+                  {**FAST, "output": {"report": "same.txt", "trajectory": "same.txt"}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert str(out / "same.txt") in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["design", "--scenario", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "same.txt").read_text())["scenario"] == "enclosing"
+    assert {f.name for f in out.iterdir()} == {"same.txt"}

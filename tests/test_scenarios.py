@@ -8,7 +8,7 @@ import pytest
 
 from lapmaneuver import (SCENARIO_NAMES, MotionSpec, ScenarioError, SimConfig,
                          builtin_scenario, load_scenario, run_scenario,
-                         scenario_from_dict, shape_error_series)
+                         scenario_from_dict, scenarios, shape_error_series)
 
 
 def test_builtin_names_all_parse():
@@ -220,3 +220,15 @@ def test_rk4_and_exact_agree_on_scenario():
     ex = run_scenario("enclosing", {**over, "sim": {**over["sim"], "method": "exact"}})
     scale = np.abs(ex.trajectory.states).max()
     assert np.abs(rk.trajectory.states - ex.trajectory.states).max() / scale < 1e-6
+
+
+def test_shape_size_is_checked_before_the_graph_is_built(monkeypatch):
+    # a million nodes with three points is refused without building the graph
+    def refuse(*args):
+        raise AssertionError("graph built before the shape size check")
+
+    monkeypatch.setattr(scenarios, "FormationGraph", refuse)
+    doc = {"graph": {"n": 1000000, "edges": [[1, 2], [2, 3], [3, 1]]},
+           "shape": [[0, 0], [1, 0], [0, 1]]}
+    with pytest.raises(ScenarioError, match="^shape has 3 points for n=1000000 nodes$"):
+        scenario_from_dict(doc)

@@ -434,3 +434,20 @@ def test_heading_indices_past_n_refused(run, pair):
     cfg = SimConfig(dt=0.01, t_end=1.0, heading=HeadingControl(**{**_HEADING, **pair}))
     with pytest.raises(ValueError, match="out of range for 4 agents"):
         run(d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
+
+
+def test_run_without_heading_allocates_nothing_per_step():
+    # 500 000 RK4 steps kept at 6 samples: no array grows with the step count
+    import tracemalloc
+
+    sc = scenario_from_dict(builtin_scenario(
+        "enclosing", {"sim": {"t_end": 5000.0, "sample_stride": 100_000}}))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    tracemalloc.start()
+    try:
+        traj = integrate(d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 6
+    assert peak < 2 * 2**20
