@@ -22,8 +22,7 @@ from .shapes import (Eigensystem, LaplacianBundle, ReferenceShape,
                      synthesize_weights)
 from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   exact_trajectory, initial_condition, integrate,
-                  measure_motion, shape_error, shape_error_series,
-                  shape_projector)
+                  measure_motion, shape_error)
 from .spectral import (DesignResult, JordanReport, SpectralReport,
                        StabilityAnalysis, SteadyStatePrediction,
                        design_pipeline, predict_steady_state,

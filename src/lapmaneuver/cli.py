@@ -22,7 +22,7 @@ from .errors import (ChainBroken, Diverged, PipelineFailed, ScenarioError,
                      SpectrumMismatch)
 from .scenarios import Scenario, load_scenario, simulate_scenario
 from .shapes import TOLERANCES
-from .sim import Trajectory, initial_condition, shape_error_series
+from .sim import Trajectory, initial_condition, shape_error
 from .spectral import DesignResult, design_pipeline, predict_steady_state
 
 SCHEMA_VERSION = 2
@@ -75,7 +75,7 @@ def build_report(sc: Scenario, design: DesignResult,
             k: _c(v) if isinstance(v, complex) else v
             for k, v in dataclasses.asdict(design.residuals).items()}
     if traj is not None:
-        errs = shape_error_series(traj, sc.shape)
+        errs = shape_error(traj.states, sc.shape)
         metrics = {"final_shape_error": float(errs[-1]),
                    "max_shape_error": float(errs.max()),
                    "samples": int(traj.times.size)}

@@ -11,7 +11,9 @@ stable dt, for a step outside RK4's region.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -47,13 +49,17 @@ class HeadingControl:
         if not np.isfinite(np.array(self.schedule, dtype=complex)).all():
             raise ValueError("heading schedule must be finite")
 
-    def _entry_at(self, t):
-        """Schedule index in force at t (or each t): first `until` > t, else last."""
-        untils = np.maximum.accumulate([until for until, _ in self.schedule])
-        return np.minimum(np.searchsorted(untils, t, side="right"), len(self.schedule) - 1)
-
     def setpoint_at(self, t: float) -> complex:
-        return self.schedule[self._entry_at(t)][1]
+        """The setpoint of the first entry whose `until` exceeds t, else the last."""
+        return next((z for until, z in self.schedule if until > t), self.schedule[-1][1])
+
+    def segments(self, dt: float, steps: int) -> list[tuple[int, int, complex]]:
+        """(first, end, setpoint) for each run of steps k < steps that hold
+        setpoint_at(k dt): an entry ends at the first k with k dt >= until."""
+        grid = range(steps)
+        ends = [bisect_left(grid, until, key=lambda k: k * dt) for until, _ in self.schedule[:-1]]
+        firsts = [0, *accumulate([*ends, steps], max)]
+        return [(k0, k1, z) for k0, k1, (_, z) in zip(firsts, firsts[1:], self.schedule) if k0 < k1]
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,8 @@ class SimConfig:
             raise ValueError("dt must be positive and finite")
         if not self.dt <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and at least dt")
+        if not self.t_end / self.dt < 2**53:  # each step index k is an exact float
+            raise ValueError("t_end / dt must be below 2**53 steps")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         if self.seed < 0:
@@ -165,22 +173,21 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
-    starts = np.zeros(1, dtype=int)  # first step of each setpoint segment
+    segments = [(0, steps, 0j)]  # (first step, end, setpoint), zero-order hold
     if h is not None:
         if max(h.agent, h.neighbor) > n:
             raise ValueError(f"heading agent/neighbor out of range for {n} agents")
         X[h.agent - 1, h.agent - 1] -= h.gain
         X[h.agent - 1, h.neighbor - 1] += h.gain
-        seg = h._entry_at(np.arange(steps) * dt)  # entry in force at each step (zero-order hold)
-        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        segments = h.segments(dt, steps)
     preflight(X[:n, :n], dt)
     keep = np.union1d(np.arange(0, steps, cfg.sample_stride), steps)  # sampled steps
     samples = np.empty((keep.size, n), dtype=complex)
     x = np.append(initial_condition(cfg, shape), 1.0)
     samples[0] = x[:n]
-    for k0, k1 in zip(starts, np.append(starts[1:], steps)):
+    for k0, k1, setpoint in segments:
         if h is not None:
-            X[h.agent - 1, n] = h.gain * h.schedule[seg[k0]][1]
+            X[h.agent - 1, n] = h.gain * setpoint
         S = step_map(X, dt)
         states, P = (S @ x)[None], S  # the states 1..m steps on, and S^m
         while len(states) < k1 - k0 and 2 * states.nbytes <= _TABLE_BYTES \
@@ -201,31 +208,16 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     return Trajectory(keep * dt, samples)
 
 
-def shape_projector(shape: ReferenceShape) -> np.ndarray:
-    """Orthogonal projector onto span{1, p*}."""
-    basis = np.column_stack([np.ones(shape.n, dtype=complex), shape.p_star])
-    q, _ = np.linalg.qr(basis)
-    return q @ q.conj().T
-
-
-def shape_error(p: np.ndarray, shape: ReferenceShape) -> float:
-    """Relative distance of the configuration from the desired shape space."""
+def shape_error(p: np.ndarray, shape: ReferenceShape) -> float | np.ndarray:
+    """Relative distance of a configuration from the shape space span{1, p*}:
+    a float for one configuration, an array for the rows of a 2-D array."""
     p = np.asarray(p, dtype=complex)
-    norm = np.linalg.norm(p)
-    if norm == 0:
-        raise ZeroState("shape error undefined for the zero configuration")
-    P = shape_projector(shape)
-    return float(np.linalg.norm(p - P @ p) / norm)
-
-
-def shape_error_series(traj: Trajectory, shape: ReferenceShape) -> np.ndarray:
-    P = shape_projector(shape)
-    states = traj.states
-    norms = np.linalg.norm(states, axis=1)
+    norms = np.linalg.norm(p, axis=-1)
     if not norms.all():
         raise ZeroState("shape error undefined for the zero configuration")
-    resid = np.linalg.norm(states - states @ P.T, axis=1)
-    return resid / norms
+    q, _ = np.linalg.qr(np.column_stack([np.ones(shape.n, dtype=complex), shape.p_star]))
+    errs = np.linalg.norm(p - p @ (q @ q.conj().T).T, axis=-1) / norms
+    return float(errs) if p.ndim == 1 else errs
 
 
 @dataclass(frozen=True)
@@ -243,20 +235,15 @@ def measure_motion(traj: Trajectory, shape: ReferenceShape,
     states = traj.states[window]
     if t.size < 3:
         raise ValueError("window too short")
-    errs = shape_error_series(Trajectory(t, states), shape)
+    errs = shape_error(states, shape)
     if errs.max() > 1e-4:
         raise NotConverged(
             f"shape error {errs.max():.2e} in window; steady state not reached")
     centroid = states.mean(axis=1)
     rel = states - centroid[:, None]
-
     angles = np.unwrap(np.angle(rel), axis=0)
-    slopes = np.polyfit(t, angles, 1)[0]
-    omega_hat = float(slopes.mean())
-
     radius = np.log(np.linalg.norm(rel, axis=1))
-    a_hat = float(np.polyfit(t, radius, 1)[0])
-
-    v_re = np.polyfit(t, centroid.real, 1)[0]
-    v_im = np.polyfit(t, centroid.imag, 1)[0]
-    return MotionEstimate(omega_hat, a_hat, complex(v_re + 1j * v_im))
+    slopes = np.polyfit(t, np.column_stack([angles, radius, centroid.real, centroid.imag]), 1)[0]
+    n = angles.shape[1]
+    return MotionEstimate(float(slopes[:n].mean()), float(slopes[n]),
+                          complex(slopes[n + 1], slopes[n + 2]))

@@ -14,8 +14,8 @@ from lapmaneuver import (FormationGraph, MotionSpec, SimConfig,
                          design_pipeline, eigensystem, exact_trajectory,
                          initial_condition, is_connected, is_two_rooted,
                          laplacian, measure_motion, predict_steady_state,
-                         run_scenario, shape_error, shape_error_series,
-                         stability_bound, synthesize_weights)
+                         run_scenario, shape_error, stability_bound,
+                         synthesize_weights)
 
 from conftest import random_instance, square_graph, square_shape
 from test_graphs import brute_force_two_rooted
@@ -145,7 +145,7 @@ def test_criterion_06_consensus_endpoint():
 
     ratio = diameter(tr.states[-1]) / diameter(tr.states[0])
     assert ratio < 1e-3
-    errs = shape_error_series(tr, shape)
+    errs = shape_error(tr.states, shape)
     resid_abs = errs * np.linalg.norm(tr.states, axis=1)
     settled = int(np.argmax(resid_abs < 1e-8 * np.linalg.norm(tr.states[0])))
     assert resid_abs[settled] < 1e-8 * np.linalg.norm(tr.states[0])
@@ -163,7 +163,7 @@ def test_criterion_07_perturbation_bound():
     d = design_pipeline(g, shape, spec)
     cfg = SimConfig(dt=0.01, t_end=100.0, seed=3, sample_stride=10)
     traj = exact_trajectory(d.modified.L_tilde, d.bundle.gains, cfg, shape)
-    errs = shape_error_series(traj, shape)
+    errs = shape_error(traj.states, shape)
     assert errs[-1] < 1e-10
 
     doubled = stability_bound(eigensystem(2.0 * base.bundle.KL), base.motion.MBt, shape)

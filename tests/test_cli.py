@@ -247,6 +247,17 @@ def test_non_number_field_exit_2(tmp_path, capsys, field, value):
     assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
 
 
+@pytest.mark.parametrize("sim", [{"dt": 1e-300, "t_end": 1e300},
+                                 {"dt": 1.0, "t_end": 1e20, "method": "exact"}])
+def test_step_count_beyond_an_exact_float_exit_2(tmp_path, capsys, sim):
+    # both used to end in an OverflowError traceback after the design had run
+    path = _write(tmp_path, "enclosing", {"sim": sim})
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: invalid sim config: t_end / dt")
+    assert not any(out.iterdir())
+
+
 def test_divergence_exit_3(tmp_path, capsys):
     # a perturbation gain far above any stable step size for the integrator
     path = _write(tmp_path, "enclosing",

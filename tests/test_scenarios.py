@@ -8,7 +8,7 @@ import pytest
 
 from lapmaneuver import (SCENARIO_NAMES, MotionSpec, ScenarioError, SimConfig,
                          builtin_scenario, load_scenario, run_scenario,
-                         scenario_from_dict, scenarios, shape_error_series)
+                         scenario_from_dict, scenarios, shape_error)
 
 
 def test_builtin_names_all_parse():
@@ -176,7 +176,7 @@ def test_run_deterministic():
 def test_enclosing_orbits_center_agent():
     res = run_scenario("enclosing", {"sim": {"method": "exact"}})
     tr, shape = res.trajectory, res.scenario.shape
-    assert shape_error_series(tr, shape)[-1] < 1e-10
+    assert shape_error(tr.states, shape)[-1] < 1e-10
     # the designated agent ends at rest while the others orbit it
     vel = -res.design.KL_tilde @ tr.states[-1]
     assert abs(vel[4]) < 1e-10

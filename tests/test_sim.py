@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
@@ -12,7 +12,7 @@ from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
                          ZeroState, builtin_scenario, center_shape,
                          design_pipeline, exact_trajectory, initial_condition,
                          integrate, measure_motion, scenario_from_dict,
-                         shape_error, shape_error_series)
+                         shape_error)
 
 from conftest import ring_chord, square_graph, square_shape
 
@@ -102,7 +102,7 @@ def test_static_design_converges(square):
     d = _design(MotionSpec())
     cfg = SimConfig(dt=0.01, t_end=20.0, seed=1)
     traj = integrate(d.modified.L_tilde, d.bundle.gains, cfg, shape)
-    errs = shape_error_series(traj, shape)
+    errs = shape_error(traj.states, shape)
     assert errs[-1] < 1e-10
     # the formation stops: velocity vanishes
     vel = -d.KL_tilde @ traj.states[-1]
@@ -205,12 +205,20 @@ def test_shape_error_zero_state(square):
         shape_error(np.zeros(4), shape)
 
 
-def test_shape_error_series_zero_state(square):
+def test_shape_error_of_an_array_is_the_error_of_each_row(square):
     _, shape = square
-    states = np.ones((3, 4), dtype=complex)
-    states[1] = 0
-    with pytest.raises(ZeroState):
-        shape_error_series(Trajectory(np.arange(3.0), states), shape)
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    rows[::7] = (2 - 1j) * shape.p_star + 3 + 1e-9 * rows[::7]  # near the shape space
+    errs = shape_error(rows, shape)
+    assert errs.shape == (50,)
+    # the same value as one configuration, up to rounding relative to |p|
+    assert np.abs(errs - [shape_error(p, shape) for p in rows]).max() < 1e-15
+    for k in (0, 1, 49):
+        states = np.ones((50, 4), dtype=complex)
+        states[k] = 0
+        with pytest.raises(ZeroState):
+            shape_error(states, shape)
 
 
 @pytest.mark.parametrize("kwargs", [{"p0": np.zeros(4, dtype=complex)}, {"box_factor": 0.0}],
@@ -451,3 +459,51 @@ def test_run_without_heading_allocates_nothing_per_step():
         tracemalloc.stop()
     assert traj.times.size == 6
     assert peak < 2 * 2**20
+
+
+def test_heading_run_allocates_nothing_per_step():
+    # 500 000 RK4 steps through five setpoints kept at 6 samples: the
+    # segments are read off the schedule, so no array grows with the step count
+    import tracemalloc
+
+    sc = scenario_from_dict(builtin_scenario(
+        "traveling_heading", {"sim": {"t_end": 5000.0, "sample_stride": 100_000}}))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    tracemalloc.start()
+    try:
+        traj = integrate(d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 6
+    assert peak < 2 * 2**20
+
+
+_DT = 0.01
+_UNTILS = st.one_of(
+    st.integers(-5, 320).map(lambda k: k * _DT),  # on the grid, as the float k dt
+    st.tuples(st.integers(0, 320), st.sampled_from([-np.inf, np.inf])).map(
+        lambda kd: float(np.nextafter(kd[0] * _DT, kd[1]))),  # one ulp off the grid
+    st.floats(-1.0, 4.0))  # anywhere, negative and past the end included
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.lists(_UNTILS, min_size=1, max_size=6))
+@example(200, [0.025, 57 * 0.01, 1.005, 1.5])  # off the grid, and one ulp above 0.57
+@example(200, [1.0, 0.5, 1.5])  # not monotone: the 0.5 entry never holds
+@example(200, [-1.0, 0.3, 10.0, 20.0])  # negative, then past the end
+def test_heading_segments_tile_the_run_property(steps, untils):
+    h = HeadingControl(1, 2, 1.0, tuple((u, complex(i)) for i, u in enumerate(untils)))
+    segments = h.segments(_DT, steps)
+    assert [k0 for k0, _, _ in segments] == [0] + [k1 for _, k1, _ in segments[:-1]]
+    assert segments[-1][1] == steps
+    for k0, k1, setpoint in segments:
+        assert k0 < k1
+        assert all(h.setpoint_at(k * _DT) == setpoint for k in range(k0, k1))
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1e300), (1.0, 1e20), (1.0, 2.0**53)])
+def test_step_count_beyond_an_exact_float_refused(dt, t_end):
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        SimConfig(dt=dt, t_end=t_end)
+    SimConfig(dt=1.0, t_end=2.0**53 - 1)

@@ -536,3 +536,19 @@ def test_ear_graphs_design_or_fail_at_a_stage_property(instance, spec, seed):
     L = d.bundle.L
     for v in (np.ones(g.n), shape.p_star):
         assert np.abs(L @ v).max() <= 1e-10 * np.abs(L).max() * np.abs(v).max()
+    # K L~ [1, p*] = -kappa~ [0, c 1 + s p*]; with s = 0 the translation chain
+    kt, c, s = spec.kappa_tilde, d.motion.uniform_coeff, d.motion.shape_coeff
+    KLt = d.KL_tilde
+    norm = np.linalg.norm(KLt, 2)
+    for v, image in ((np.ones(g.n), np.zeros(g.n)), (shape.p_star, c + s * shape.p_star)):
+        assert np.linalg.norm(KLt @ v + kt * image) <= 1e-10 * norm * np.linalg.norm(v)
+    if d.motion.case == "moving":  # the relocated eigenvalue -kappa~ s
+        lam = np.linalg.eigvals(KLt)
+        assert np.abs(lam + kt * s).min() <= 1e-8 * np.abs(lam).max()
+    # the h = 1 bound of the unboosted gains scales exactly with h = 2^j
+    KL1 = (d.bundle.gains / d.boost)[:, None] * L
+    b1 = stability_bound(eigensystem(KL1), d.motion.MBt, shape).kappa_tilde_max
+    rel = 64 * np.finfo(float).eps * np.linalg.cond(d.stability.T) ** 2
+    for j in (1, 5, 11):
+        scaled = stability_bound(eigensystem(2.0 ** j * KL1), d.motion.MBt, shape)
+        assert scaled.kappa_tilde_max == pytest.approx(2.0 ** j * b1, rel=rel)
