@@ -26,6 +26,7 @@ from .sim import Trajectory, initial_condition, shape_error
 from .spectral import DesignResult, design_pipeline, predict_steady_state
 
 SCHEMA_VERSION = 2
+_CSV_BYTES = 64 * 1024  # bound on the table rows formatted per write
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -88,13 +89,17 @@ def write_report(report: dict, path: Path) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """Rows t, x_1, y_1, ... of `%.17g` cells, written _CSV_BYTES of rows at a time."""
     n = traj.n
     header = "t," + ",".join(f"x_{i},y_{i}" for i in range(1, n + 1))
-    table = np.empty((traj.times.size, 2 * n + 1))
-    table[:, 0] = traj.times
-    table[:, 1::2] = traj.states.real
-    table[:, 2::2] = traj.states.imag
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
+    rows = max(1, _CSV_BYTES // (8 * (2 * n + 1)))
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        for i in range(0, traj.times.size, rows):
+            xy = np.ascontiguousarray(traj.states[i:i + rows], dtype=complex).view(float)
+            table = np.column_stack([traj.times[i:i + rows], xy])
+            f.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
 def cmd_design(sc: Scenario, report: Path) -> int:
@@ -179,6 +184,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             sc = dataclasses.replace(sc, design_seed=args.seed)
         plan.append((sc, [out / name for name in outputs(sc)]))
+    if not plan:  # no file parsed: nothing to run, so --out is left alone
+        return code
     written = [p for _, paths in plan for p in paths]
     shared = [p for p in written if written.count(p) > 1]
     if shared:

@@ -255,7 +255,7 @@ def test_step_count_beyond_an_exact_float_exit_2(tmp_path, capsys, sim):
     out = tmp_path / "o"
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("parse error: invalid sim config: t_end / dt")
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_divergence_exit_3(tmp_path, capsys):
@@ -383,6 +383,16 @@ def test_duplicate_key_exit_2(tmp_path, capsys, key):
     assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
 
 
+@pytest.mark.parametrize("command", ["design", "simulate", "verify"])
+def test_no_parsed_file_leaves_out_alone(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("nonsense")
+    out = tmp_path / "newdir"
+    assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+    assert not out.exists()
+
+
 def test_multiple_scenarios_worst_exit(tmp_path):
     good = _write(tmp_path, "enclosing", fname="good.json")
     bad = tmp_path / "bad.json"
@@ -406,15 +416,50 @@ def _per_cell_csv(traj, path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _savetxt_csv(traj, path):
+    """The writer that handed the whole table to np.savetxt."""
+    n = traj.n
+    header = "t," + ",".join(f"x_{i},y_{i}" for i in range(1, n + 1))
+    table = np.empty((traj.times.size, 2 * n + 1))
+    table[:, 0] = traj.times
+    table[:, 1::2] = traj.states.real
+    table[:, 2::2] = traj.states.imag
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def _random_trajectory(rows, n, seed=0):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-300, 300, (rows, n))
+    return Trajectory(np.arange(rows) * 0.01, states + 1j * rng.standard_normal((rows, n)))
+
+
+def test_csv_memory_does_not_grow_with_the_rows(tmp_path):
+    # 20 000 rows of n = 10: the whole table would take 3.4 MB and its text 9.1 MB
+    import tracemalloc
+
+    traj = _random_trajectory(20_000, 10)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_csv_rows_match_per_cell_writer(tmp_path):
     states = np.array([[-0.0, 1e300], [0.1, -1e-300], [np.pi, 1 / 3]], dtype=complex)
     states.imag = [[1e-300, -0.0], [0.2, -1e300], [-np.e, 2 / 3]]
     special = Trajectory(np.array([0.0, 1e-300, 1e300]), states)
     simulated = run_scenario("traveling_heading", FAST).trajectory
-    for traj in (special, simulated):
+    per_block = cli._CSV_BYTES // (8 * 21)  # rows of n = 10 in one block
+    ragged = _random_trajectory(3 * per_block + 7, 10)
+    wide = _random_trajectory(3, cli._CSV_BYTES // 16)  # one row of 8193 cells is over a block
+    for traj in (special, simulated, ragged, wide):
         write_trajectory_csv(traj, tmp_path / "rows.csv")
-        _per_cell_csv(traj, tmp_path / "cells.csv")
-        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        for writer in (_per_cell_csv, _savetxt_csv):
+            writer(traj, tmp_path / "ref.csv")
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     write_trajectory_csv(special, tmp_path / "rows.csv")
     assert (tmp_path / "rows.csv").read_text().splitlines()[1] \
         == "0,-0,1e-300,1.0000000000000001e+300,-0"

@@ -13,6 +13,7 @@ from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
                          design_pipeline, exact_trajectory, initial_condition,
                          integrate, measure_motion, scenario_from_dict,
                          shape_error)
+from lapmaneuver import sim
 
 from conftest import ring_chord, square_graph, square_shape
 
@@ -291,14 +292,53 @@ def _growing_run():
     return -d.modified.L_tilde, d.bundle.gains, cfg, square_shape()
 
 
-@pytest.mark.parametrize("make", [_growing_run, _transient_run])
+def _overflow_run():
+    # at the largest float as threshold only a non-finite state diverges: p_1
+    # turns inf + nan j (t = 0.47 with RK4, 0.08 exact), then every entry NaN
+    cfg = SimConfig(dt=0.01, t_end=1.0, p0=np.array([1, 1j]),
+                    divergence_threshold=np.finfo(float).max)
+    L_tilde = -np.diag([1e4, -1.0]).astype(complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
+def _nan_run():
+    # p0 = 1e300 [1, 1] is at rest (L~ 1 = 0), yet S holds entries near 1e10 (NaN
+    # for expm): the partial sums of S p0 overflow and cancel to NaN, |p_i| NaN not inf
+    cfg = SimConfig(dt=0.01, t_end=1.0, p0=np.array([1e300, 1e300]),
+                    divergence_threshold=np.finfo(float).max)
+    L_tilde = -1e12 * np.array([[1, -1], [1, -1]], dtype=complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
+def _late_run():
+    # e^(t/2) crosses 1e15 near t = 69.08, step 6908: past the first block of states
+    cfg = SimConfig(dt=0.01, t_end=100.0, p0=np.array([1, 1j]),
+                    divergence_threshold=1e15, sample_stride=1000)
+    L_tilde = -np.diag([0.5, -1.0]).astype(complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
+@pytest.mark.parametrize("make", [_growing_run, _transient_run, _overflow_run, _nan_run,
+                                  _late_run])
 def test_step_maps_diverge_at_the_same_step(make):
     args = make()
-    with pytest.raises(Diverged) as ref:
-        _per_step_reference(*args)
-    with pytest.raises(Diverged) as new:
-        integrate(*args)
-    assert str(new.value) == str(ref.value)
+    for run, exact in ((integrate, False), (exact_trajectory, True)):
+        with pytest.raises(Diverged) as ref, np.errstate(over="ignore", invalid="ignore"):
+            _per_step_reference(*args, exact=exact)
+        with pytest.raises(Diverged) as new:
+            run(*args)
+        assert str(new.value) == str(ref.value)
+
+
+def test_late_run_diverges_past_the_first_block():
+    # the first block holds at most _TABLE_BYTES of states [p; 1]
+    _, _, cfg, shape = args = _late_run()
+    first_block = sim._TABLE_BYTES // (16 * (shape.n + 1))
+    for run in (integrate, exact_trajectory):
+        with pytest.raises(Diverged) as err:
+            run(*args)
+        t = float(re.search(r"at t=([0-9.]+)", str(err.value)).group(1))
+        assert first_block < round(t / cfg.dt) < cfg.t_end / cfg.dt
 
 
 def test_exact_keeps_the_grid_on_off_grid_boundary():
