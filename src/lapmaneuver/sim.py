@@ -3,11 +3,15 @@
 The loop is linear; heading control adds an affine term, constant while a
 setpoint holds. Per such segment a step is one matrix S on [p; 1]: the RK4
 polynomial R(dt X) (`integrate`) or expm(dt X) (`exact_trajectory`, the
-oracle). One loop builds a block of states [S x, ..., S^m x] by doubling,
-steps each later block by S^m, one product per block, and tests each block
-once for divergence, locating the first bad step only on failure.
-`integrate` first raises StepUnstable, naming the largest stable dt, for a
-step outside RK4's region.
+oracle). One loop computes only the states kept every s = sample_stride
+steps, and the segment's end: S^f reaches the first, blocks of them built by
+doubling are stepped by powers of T = S^s, and S^r reaches the end, every
+power formed by squaring S. G, the product of max(1, ||S^(2^b)||_inf) over
+2^b < s, bounds every skipped state by G ||y||_inf, y a computed state; a
+block passes if that is within the divergence threshold, else the segment is
+walked again with s = 1, testing every state: Diverged names the first bad
+step. `integrate` first raises StepUnstable, naming the largest stable dt,
+for a step outside RK4's region.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .errors import Diverged, NotConverged, StepUnstable, ZeroState
@@ -81,8 +86,8 @@ class SimConfig:
             raise ValueError("t_end must be finite and at least dt")
         if not self.t_end / self.dt < 2**53:  # each step index k is an exact float
             raise ValueError("t_end / dt must be below 2**53 steps")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if not (isinstance(self.sample_stride, (int, np.integer)) and self.sample_stride >= 1):
+            raise ValueError("sample_stride must be an integer >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not (np.isfinite(self.box_factor) and self.box_factor != 0):
@@ -190,21 +195,37 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
         if h is not None:
             X[h.agent - 1, n] = h.gain * setpoint
         S = step_map(X, dt)
-        states, P = (S @ x)[None], S  # the states 1..m steps on, and S^m
-        while len(states) < k1 - k0 and 2 * states.nbytes <= _TABLE_BYTES \
-                and np.isfinite(P2 := P @ P).all():  # stop before a non-finite power
-            states = np.concatenate([states, states[:k1 - k0 - len(states)] @ P.T])
-            P = P2
-        for k in range(k0, k1, len(states)):
-            if k > k0:
-                states = states[:k1 - k] @ P.T
-            p = states[:, :n]
-            within = np.abs(p) <= cfg.divergence_threshold  # False for a NaN or infinite z
-            if not within.all():  # one test per block, then find the first bad step
-                raise Diverged("state norm exceeded threshold at "
-                               f"t={(k + 1 + np.argmin(within.all(1))) * dt:.3f}")
-            i0, i1 = np.searchsorted(keep, (k, k + len(p)), side="right")
-            samples[i0:i1] = p[keep[i0:i1] - k - 1]
+        for s in (int(cfg.sample_stride), 1):  # if a test fails, walk again step by step
+            f = min((k0 // s + 1) * s, k1) - k0  # steps to the first multiple of s, or to k1
+            m, r = divmod(k1 - k0 - f, s)  # the grid states after it; steps from the last to k1
+            G, Q = 1.0, S  # G >= ||S^i||_inf for every i < s, from the squares Q = S^(2^b)
+            for _ in range((s - 1).bit_length()):
+                G, Q = G * np.maximum(1.0, np.abs(Q).sum(1).max()), Q @ Q
+            states, P = (matrix_power(S, f) @ x)[None], matrix_power(S, s)  # T = S^s
+            while len(states) <= m and 2 * states.nbytes <= _TABLE_BYTES \
+                    and np.isfinite(P2 := P @ P).all():  # stop before a non-finite power
+                states = np.concatenate([states, states[:m + 1 - len(states)] @ P.T])
+                P = P2
+            big = np.abs(x.view(float)).max()  # largest |Re z|, |Im z| of x and states since
+            for j in range(0, m + 1, len(states)):  # j counts the grid states before the block
+                if j:
+                    states = states[:m + 1 - j] @ P.T
+                if r and j + len(states) > m:  # the last block also holds the state at k1
+                    states = np.vstack([states, matrix_power(S, r) @ states[-1]])
+                ks = np.minimum(k0 + f + s * np.arange(j, j + len(states)), k1)  # their steps
+                if s > 1:  # a skipped state is S^i y, i < s, y = x or one of these: its
+                    big = np.abs(states.view(float)).max(initial=big)  # |z| <= G sqrt(2) big
+                    if not G * np.sqrt(2) * big <= cfg.divergence_threshold:  # False for NaN
+                        break
+                else:
+                    within = np.abs(states[:, :n]) <= cfg.divergence_threshold  # False for NaN, inf
+                    if not within.all():  # one test per block, then find the first bad step
+                        raise Diverged("state norm exceeded threshold at "
+                                       f"t={ks[np.argmin(within.all(1))] * dt:.3f}")
+                i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
+                samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
+            else:
+                break  # the segment passed every test
         x = states[-1]
     return Trajectory(keep * dt, samples)
 

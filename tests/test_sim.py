@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -286,6 +287,15 @@ def _transient_run():
     return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
 
 
+def _early_peak_run():
+    # |p_1| = 1e10 (e^-10t - e^-20t) passes 1e9 at t = 0.02 and is below 1e-11 by
+    # the first kept state, t = 5: only the certificate of p0 sees the crossing
+    cfg = SimConfig(dt=0.01, t_end=10.0, p0=np.array([0, 1e8], dtype=complex),
+                    sample_stride=500)
+    L_tilde = -np.array([[-10, 1000], [0, -20]], dtype=complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
 def _growing_run():
     d = _design(MotionSpec())
     cfg = SimConfig(dt=0.01, t_end=100.0, seed=1, divergence_threshold=1e3)
@@ -318,8 +328,8 @@ def _late_run():
     return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
 
 
-@pytest.mark.parametrize("make", [_growing_run, _transient_run, _overflow_run, _nan_run,
-                                  _late_run])
+@pytest.mark.parametrize("make", [_growing_run, _transient_run, _early_peak_run, _overflow_run,
+                                  _nan_run, _late_run])
 def test_step_maps_diverge_at_the_same_step(make):
     args = make()
     for run, exact in ((integrate, False), (exact_trajectory, True)):
@@ -427,12 +437,15 @@ def _stable_runs(draw):
     heading = None
     if draw(st.booleans()):
         agent, neighbor = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        untils = draw(st.lists(st.floats(0.0, 1.2 * steps * dt), min_size=1, max_size=4))
+        # the float k dt of a step, mostly off the stride grid, or anywhere
+        on_steps = st.integers(0, int(1.2 * steps)).map(lambda k: k * dt)
+        untils = draw(st.lists(st.one_of(on_steps, st.floats(0.0, 1.2 * steps * dt)),
+                               min_size=1, max_size=4))
         schedule = tuple((u, complex(*rng.standard_normal(2))) for u in untils)
         heading = HeadingControl(int(agent), int(neighbor),
                                  draw(st.floats(0.1, 2.0)), schedule)
     cfg = SimConfig(dt=dt, t_end=steps * dt, seed=int(rng.integers(1000)),
-                    sample_stride=draw(st.integers(1, 9)), heading=heading)
+                    sample_stride=draw(st.integers(1, 64)), heading=heading)
     return -A, cfg, center_shape(np.exp(2j * np.pi * np.arange(n) / n))
 
 
@@ -443,6 +456,53 @@ def test_step_maps_match_per_step_loops_property(run):
     args = (L_tilde, np.ones(shape.n, dtype=complex), cfg, shape)
     _assert_same_run(integrate(*args), _per_step_reference(*args))
     _assert_same_run(exact_trajectory(*args), _per_step_reference(*args, exact=True))
+
+
+@pytest.mark.parametrize("stride", [2, 3, 7, 64])
+def test_strided_run_is_the_step_by_step_run_sampled(stride):
+    # five setpoints of 5000 steps: at stride 2 each holds more kept states
+    # than one block, and at 3, 7 and 64 every boundary is off the stride grid
+    sc = scenario_from_dict(builtin_scenario("traveling_heading",
+                                             {"sim": {"sample_stride": stride}}))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    every = dataclasses.replace(sc.sim, sample_stride=1)
+    steps = int(round(sc.sim.t_end / sc.sim.dt))
+    keep = np.append(np.arange(0, steps, stride), steps)
+    for run in (integrate, exact_trajectory):
+        ref = run(d.modified.L_tilde, d.bundle.gains, every, sc.shape)
+        _assert_same_run(run(d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape),
+                         Trajectory(ref.times[keep], ref.states[keep]))
+
+
+def test_long_run_computes_only_the_kept_states(monkeypatch):
+    # 10^8 steps kept every 10^6 on a design whose certificate admits the
+    # stride: one S^(10^6), formed by squaring, steps the 101 kept states
+    d = _design(MotionSpec(a=-0.5, kappa_s=0.025))
+    cfg = SimConfig(dt=0.01, t_end=1e6, seed=1, sample_stride=10**6)
+    powers = []
+    monkeypatch.setattr(sim, "matrix_power",
+                        lambda M, j: powers.append(j) or np.linalg.matrix_power(M, j))
+    traj = exact_trajectory(d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
+    assert set(powers) == {10**6}  # no walk again step by step
+    assert traj.times.size == 101 and traj.times[-1] == 1e6
+    p0 = initial_condition(cfg, square_shape())
+    ref = np.array([scipy.linalg.expm(-d.KL_tilde * t) @ p0 for t in traj.times])
+    assert np.abs(traj.states - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("stride", [2.5, 2.0, 0, -3])
+def test_sample_stride_must_be_an_integer(stride):
+    # a float stride used to pass and fail later, inside the run, with IndexError
+    with pytest.raises(ValueError, match="^sample_stride must be an integer >= 1$"):
+        SimConfig(dt=0.01, t_end=1.0, sample_stride=stride)
+
+
+def test_numpy_integer_sample_stride_accepted():
+    d = _design(MotionSpec())
+    cfg = SimConfig(dt=0.01, t_end=1.0, seed=1, sample_stride=np.int64(3))
+    for run in (integrate, exact_trajectory):
+        traj = run(d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
+        assert np.array_equal(traj.times, np.append(np.arange(0, 100, 3), 100) * 0.01)
 
 
 @pytest.mark.parametrize("n, motion", [
