@@ -5,7 +5,7 @@ multi-agent formation to a desired shape while translating, rotating and/or
 scaling, verifies the spectral guarantees, and simulates the closed loop.
 """
 
-from .errors import (ChainBroken, DegenerateShape, DegenerateWeights, Diverged,
+from .errors import (DegenerateShape, DegenerateWeights, Diverged,
                      ExpansionIllConditioned, FormationError, InfeasibleRow,
                      NonDiagonalizable, NotConverged, NotTwoRooted,
                      PipelineFailed, ScenarioError, SingularGain,
@@ -23,10 +23,9 @@ from .shapes import (Eigensystem, LaplacianBundle, ReferenceShape,
 from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   exact_trajectory, initial_condition, integrate,
                   measure_motion, shape_error)
-from .spectral import (DesignResult, JordanReport, SpectralReport,
-                       StabilityAnalysis, SteadyStatePrediction,
-                       design_pipeline, predict_steady_state,
-                       stability_bound, verify_motion_spectrum,
-                       verify_translation_jordan)
+from .spectral import (DesignResult, SplitCertificate, StabilityAnalysis,
+                       SteadyStatePrediction, design_pipeline,
+                       predict_steady_state, stability_bound,
+                       verify_motion_spectrum)
 
 __version__ = "0.1.0"

@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ChainBroken, Diverged, PipelineFailed, ScenarioError,
-                     SpectrumMismatch)
+from .errors import Diverged, PipelineFailed, ScenarioError, SpectrumMismatch
 from .scenarios import Scenario, load_scenario, simulate_scenario
 from .shapes import TOLERANCES
 from .sim import Trajectory, initial_condition, shape_error
 from .spectral import DesignResult, design_pipeline, predict_steady_state
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _CSV_BYTES = 64 * 1024  # bound on the table rows formatted per write
 
 EXIT_OK = 0
@@ -52,7 +51,7 @@ def _seed(text: str) -> int:
 
 def build_report(sc: Scenario, design: DesignResult,
                  traj: Trajectory | None = None) -> dict:
-    bound = design.stability.kappa_tilde_max
+    bound, cert = design.stability.kappa_tilde_max, design.certificate
     prediction = predict_steady_state(initial_condition(sc.sim, sc.shape), design)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -64,17 +63,18 @@ def build_report(sc: Scenario, design: DesignResult,
         "gains": _cvec(design.bundle.gains),
         "gain_boost": design.boost,
         "eigenvalues_KL": _cvec(design.stability.eigenvalues),
-        "eigenvalues_KL_tilde": _cvec(design.eigensystem.values),
+        "eigenvalues_KL_tilde": _cvec(cert.eigenvalues),
         "kappa_tilde_max": None if math.isinf(bound) else bound,
         "kappa_tilde_unbounded": math.isinf(bound),
         "prediction": {"c1": _c(prediction.c1), "c2": _c(prediction.c2),
                        "case": prediction.case,
                        "steady_velocity": _c(prediction.steady_velocity)},
+        "spectral_residuals": {"split_residual": cert.split_residual,
+                               "motion_residual": cert.motion_residual,
+                               "lyapunov_residual": cert.lyapunov_residual,
+                               "min_eig_P": cert.min_eig_P, "max_eig_P": cert.max_eig_P,
+                               "cond_P": cert.cond_P},
     }
-    if design.residuals is not None:
-        report["spectral_residuals"] = {
-            k: _c(v) if isinstance(v, complex) else v
-            for k, v in dataclasses.asdict(design.residuals).items()}
     if traj is not None:
         errs = shape_error(traj.states, sc.shape)
         metrics = {"final_shape_error": float(errs[-1]),
@@ -120,12 +120,10 @@ def cmd_simulate(sc: Scenario, report: Path, trajectory: Path) -> int:
 def cmd_verify(sc: Scenario) -> int:
     """Print the checks that certified the design `design` ships."""
     design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
-    if design.motion.case == "moving":
-        print(f"PASS moving-eigenvalue: moving residual "
-              f"{design.residuals.moving_residual:.2e}")
-    elif design.motion.case == "translation":
-        print(f"PASS translation-chain: chain residual "
-              f"{design.residuals.chain_residual:.2e}")
+    cert = design.certificate
+    print(f"PASS shape-plane-split ({design.motion.case}): ||B21|| {cert.split_residual:.2e}, "
+          f"B11 error {cert.motion_residual:.2e}, P > 0 with lambda_max "
+          f"{cert.max_eig_P:.4g}, cond {cert.cond_P:.3g}")
     bound = design.stability.kappa_tilde_max
     print(f"PASS perturbation-bound: kappa_tilde_max {bound:.4g} "
           f"(gain boost {design.boost:g})")
@@ -149,7 +147,7 @@ def _run_one(handler, sc: Scenario, paths: list) -> int:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except PipelineFailed as exc:
-        if isinstance(exc.cause, (SpectrumMismatch, ChainBroken)):
+        if isinstance(exc.cause, SpectrumMismatch):
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -34,11 +34,8 @@ class SingularGain(FormationError):
 
 
 class SpectrumMismatch(FormationError):
-    """Eigenstructure of the modified Laplacian deviates from prediction."""
-
-
-class ChainBroken(FormationError):
-    """Generalized eigenvector chain identities fail beyond tolerance."""
+    """K L~ fails its shape-plane certificate: the plane is not invariant,
+    it is not mapped as the motion predicts, or the rest is not certified stable."""
 
 
 class NonDiagonalizable(FormationError):
@@ -46,7 +43,8 @@ class NonDiagonalizable(FormationError):
 
 
 class ExpansionIllConditioned(FormationError):
-    """Initial condition cannot be reliably expanded in the eigenbasis."""
+    """The moving mode is also an eigenvalue off the shape plane, so an
+    initial condition has no unique split into steady and decaying parts."""
 
 
 class Diverged(FormationError):

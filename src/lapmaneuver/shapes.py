@@ -10,7 +10,7 @@ motion parameters, are an n x n complex array W, zero off the graph's edges
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +25,7 @@ TOLERANCES = {
     "center_rel": 1e-12,  # |sum p*|, x n max|p*|
     "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(L)
     "assembly_rel": 1e-12,  # L~ by matrix formula vs by modified weights
-    "spectrum_rel": 1e-8,  # eigenvalue placement (verify, RK4 pre-flight), bound's clusters, x rho
-    "jordan_rel": 1e-10,  # translation chain residuals, x ||K L~|| ||p*||
-    "jordan_rank_sv_rel": 1e-8,  # rank of K L~, x sigma_1
+    "spectrum_rel": 1e-8,  # verify's residuals, x ||K L~||_F; RK4 pre-flight, clusters, x rho
     "cond_limit": 1e8,  # condition number of an eigenbasis (absolute)
 }
 _WEIGHT_DRAWS = 20  # seeds tried before the rank check is given up
@@ -61,6 +59,15 @@ class ReferenceShape:
 
     def radius(self) -> float:
         return float(np.abs(self.p_star).max())
+
+    @cached_property
+    def plane(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complete QR of [1, p*], taken once per shape: a unitary Q whose
+        first two columns span the shape plane S = span{1, p*}, and the
+        2 x 2 R of [1, p*] = Q[:, :2] R."""
+        V = np.column_stack([np.ones(self.n, dtype=complex), self.p_star])
+        Q, R = np.linalg.qr(V, mode="complete")
+        return Q, R[:2]
 
 
 def center_shape(raw) -> ReferenceShape:
@@ -137,17 +144,10 @@ def eigensystem(A: np.ndarray) -> Eigensystem:
     return Eigensystem(A, *np.linalg.eig(A))
 
 
-def split_spectrum(ev: np.ndarray, target: Optional[complex] = None) -> np.ndarray:
-    """Eigenvalue indices of KL or K L~, the pair spanning the shape plane
-    first: without a target the two smallest |lambda|, all in ascending
-    |lambda|; with one, the eigenvalue nearest it (moving) and the smallest
-    remaining |lambda| (kernel), the rest in eig's order."""
-    if target is None:
-        return np.argsort(np.abs(ev))
-    im = int(np.argmin(np.abs(ev - target)))
-    rest = np.delete(np.arange(ev.size), im)
-    k = int(np.argmin(np.abs(ev[rest])))
-    return np.concatenate([[im, rest[k]], np.delete(rest, k)])
+def split_spectrum(ev: np.ndarray) -> np.ndarray:
+    """Eigenvalue indices of KL in ascending |lambda|: the kernel pair, which
+    spans the shape plane, first."""
+    return np.argsort(np.abs(ev))
 
 
 def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:

@@ -231,14 +231,14 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
 
 
 def shape_error(p: np.ndarray, shape: ReferenceShape) -> float | np.ndarray:
-    """Relative distance of a configuration from the shape space span{1, p*}:
-    a float for one configuration, an array for the rows of a 2-D array."""
+    """Relative distance ||Q2^H p|| / ||p|| of a configuration from the shape
+    plane span{1, p*}, Q2 the columns of `ReferenceShape.plane` off it: a
+    float for one configuration, an array for the rows of a 2-D array."""
     p = np.asarray(p, dtype=complex)
     norms = np.linalg.norm(p, axis=-1)
     if not norms.all():
         raise ZeroState("shape error undefined for the zero configuration")
-    q, _ = np.linalg.qr(np.column_stack([np.ones(shape.n, dtype=complex), shape.p_star]))
-    errs = np.linalg.norm(p - p @ (q @ q.conj().T).T, axis=-1) / norms
+    errs = np.linalg.norm(p @ shape.plane[0][:, 2:].conj(), axis=-1) / norms
     return float(errs) if p.ndim == 1 else errs
 
 

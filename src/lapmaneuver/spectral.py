@@ -1,12 +1,12 @@
-"""Eigenstructure verification, Lyapunov speed bound and the design pipeline.
+"""Shape-plane certificate, Lyapunov speed bound and the design pipeline.
 
-With M~ B^T p* = c 1 + s p*, the modified Laplacian relocates one zero
-eigenvalue of KL to -kappa~ s while keeping the shape eigenvector (case
-"moving": rotation/scaling); with s = 0 and c != 0 the double zero collapses
-to a single Jordan chain ("translation"); with s = c = 0 K L~ = KL
-("static"). The case is `MotionMatrices.case`; everything here reads it,
-checks its facts numerically and bounds the global speed gain that
-preserves stability of the remaining spectrum.
+With M~ B^T p* = c 1 + s p*, K L~ 1 = 0 and K L~ p* = -kappa~ (c 1 + s p*)
+in every case of `MotionMatrices.case`: "moving" (s != 0) relocates one zero
+eigenvalue of KL to -kappa~ s, "translation" (s = 0, c != 0) leaves a Jordan
+chain, "static" (s = c = 0) keeps K L~ = KL. So the shape plane
+S = span{1, p*} is invariant under K L~ in all three; one construction
+certifies that split and the stability of the rest, and the prediction and
+the report read it. The speed gain bound keeps the rest stable.
 """
 
 from __future__ import annotations
@@ -15,117 +15,91 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.linalg.lapack import ztrsyl
 
-from .errors import (ChainBroken, ExpansionIllConditioned, NonDiagonalizable,
-                     NotTwoRooted, PipelineFailed, SpectrumMismatch)
+from .errors import (ExpansionIllConditioned, NonDiagonalizable, NotTwoRooted,
+                     PipelineFailed, SpectrumMismatch)
 from .graphs import FormationGraph, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
 from .shapes import (TOLERANCES, Eigensystem, LaplacianBundle, ReferenceShape,
-                     eigensystem, laplacian, split_spectrum,
-                     stabilize_gains, synthesize_weights)
+                     laplacian, split_spectrum, stabilize_gains,
+                     synthesize_weights)
 
 MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 
 
-def _sin_angle(v: np.ndarray, u: np.ndarray) -> float:
-    """Sine of the subspace angle between the lines spanned by v and u."""
-    v = v / np.linalg.norm(v)
-    u = u / np.linalg.norm(u)
-    return float(np.linalg.norm(v - np.vdot(u, v) * u))
-
-
-def _moving_mode(motion: MotionMatrices, spec: MotionSpec, shape: ReferenceShape):
-    """Relocated eigenvalue -kappa~ s of K L~ and its eigenvector (c/s) 1 + p*."""
-    s_coeff = motion.shape_coeff
-    u = (motion.uniform_coeff / s_coeff) * np.ones(shape.n, complex) + shape.p_star
-    return -spec.kappa_tilde * s_coeff, u
-
-
 @dataclass(frozen=True)
-class SpectralReport:
-    """Moving-mode eigenstructure of K L~ (case "moving")."""
+class SplitCertificate:
+    """K L~ in the shape-plane basis Q = [Q1 Q2] of `ReferenceShape.plane`:
+    B = Q^H (K L~) Q, the complex Schur form B22 = Z T Z^H of the block off
+    S, and X = Z^H P Z for the Lyapunov matrix P of B22^H P + P B22 = 2 I.
+    The residuals are relative to ||K L~||_F, Lyapunov's also to ||X||_F."""
 
-    moving_eigenvalue: complex
-    moving_target: complex
-    moving_residual: float
-    moving_vector_angle: float
-    kernel_vector_angle: float
-    others_min_real: float
-    algebraic_residual: float
+    matrix: np.ndarray  # K L~
+    Q: np.ndarray
+    B: np.ndarray
+    T: np.ndarray
+    Z: np.ndarray
+    split_residual: float  # ||B21||
+    motion_residual: float  # ||B11 - R M R^-1||, M the 2 x 2 of (c, s)
+    lyapunov_residual: float  # ||T^H X + X T - 2 I||
+    min_eig_P: float
+    max_eig_P: float  # x2 = Q2^H p decays at least as e^(-t / max_eig_P)
+
+    @property
+    def cond_P(self) -> float:
+        return self.max_eig_P / self.min_eig_P
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of K L~: the diagonals of B11 (triangular, since
+        Q1 starts with a multiple of 1 and K L~ 1 = 0) and of T."""
+        return np.concatenate([np.diag(self.B)[:2], np.diag(self.T)])
 
 
-def verify_motion_spectrum(es: Eigensystem, motion: MotionMatrices,
-                           spec: MotionSpec, shape: ReferenceShape) -> SpectralReport:
-    """Check that K L~ has the relocated eigenvalue, the preserved shape
-    eigenvector, the kernel vector 1, and a right-half-plane remainder.
+def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
+                           spec: MotionSpec, shape: ReferenceShape) -> SplitCertificate:
+    """Certify, alike in every case, that K L~ maps S into itself as (c, s)
+    predict and that the rest of its spectrum is stable.
 
-    The eigenvector is gated by the algebraic identity K L~ u = -kappa~ s u
-    with u = (uniform/s) 1 + p*, evaluated independently of the eigensolver.
+    With [1, p*] = Q1 R, K L~ [1, p*] = [1, p*] M for M = -kappa~ [[0, c], [0, s]],
+    so B21 = 0 and B11 = R M R^-1 = -kappa~ [[0, (r11 c + r12 s) / r22], [0, s]]:
+    exact algebra, no eigenvalue match.
+    T^H X + X T = 2 I is solved on the Schur form (ztrsyl, Bartels & Stewart,
+    CACM 15(9), 1972). Each residual is gated at tol = spectrum_rel, and P
+    must certify every B22 within tol ||K L~||_F: min eig(P) > 0 and
+    tol ||K L~||_F lambda_max(P) < 1. Else SpectrumMismatch names what failed.
     """
-    target, u = _moving_mode(motion, spec, shape)
-    KL_tilde, ev = es.matrix, es.values
-    order = split_spectrum(ev, target)
-    im, iz, others = order[0], order[1], order[2:]
-    moving_residual = float(abs(ev[im] - target))
-    kernel_residual = float(abs(ev[iz]))
-    alg = float(np.linalg.norm(KL_tilde @ u - target * u)
-                / (np.linalg.norm(KL_tilde, 2) * np.linalg.norm(u)))
-    report = SpectralReport(
-        moving_eigenvalue=complex(ev[im]),
-        moving_target=complex(target),
-        moving_residual=moving_residual,
-        moving_vector_angle=_sin_angle(es.vectors[:, im], u),
-        kernel_vector_angle=_sin_angle(es.vectors[:, iz], np.ones(shape.n, complex)),
-        others_min_real=float(ev[others].real.min()) if others.size else math.inf,
-        algebraic_residual=alg,
-    )
-    rel = TOLERANCES["spectrum_rel"]
-    tol = rel * float(np.abs(ev).max())
-    if moving_residual > tol or kernel_residual > tol \
-            or not report.others_min_real > 0 or alg > rel:
-        raise SpectrumMismatch(
-            f"eigenstructure off prediction: moving residual {moving_residual:.2e}, "
-            f"kernel residual {kernel_residual:.2e}, "
-            f"min Re(others) {report.others_min_real:.2e}, "
-            f"shape eigenvector residual {alg:.2e}")
-    return report
-
-
-@dataclass(frozen=True)
-class JordanReport:
-    """Generalized-chain residuals of K L~ (case "translation")."""
-
-    chain_residual: float
-    kernel_residual: float
-    squared_residual: float
-    rank: int
-
-
-def verify_translation_jordan(es: Eigensystem, motion: MotionMatrices,
-                              spec: MotionSpec, shape: ReferenceShape) -> JordanReport:
-    """Check K L~ p* = -kappa~ c 1, K L~ 1 = 0, rank n-1 and, as for the
-    moving case, a right-half-plane remainder off the chain's double zero."""
-    KL_tilde, ev = es.matrix, es.values
-    n = KL_tilde.shape[0]
-    ones = np.ones(n, dtype=complex)
-    drift = spec.kappa_tilde * motion.uniform_coeff
-    s = np.linalg.svd(KL_tilde, compute_uv=False)
-    scale = s[0] * np.linalg.norm(shape.p_star)
-    r_chain = float(np.linalg.norm(KL_tilde @ shape.p_star + drift * ones))
-    r_kernel = float(np.linalg.norm(KL_tilde @ ones))
-    r_sq = float(np.linalg.norm(KL_tilde @ (KL_tilde @ shape.p_star)))
-    rank = int(np.sum(s > TOLERANCES["jordan_rank_sv_rel"] * s[0]))
-    others_min_real = float(ev[split_spectrum(ev)[2:]].real.min(initial=math.inf))
-    report = JordanReport(r_chain, r_kernel, r_sq, rank)
-    tol = TOLERANCES["jordan_rel"]
-    if r_chain > tol * scale or r_kernel > tol * scale or rank != n - 1 \
-            or not others_min_real > 0:
-        raise ChainBroken(
-            f"chain residual {r_chain:.2e}, kernel residual {r_kernel:.2e} "
-            f"against {tol:.0e} * {scale:.2e}; rank {rank}, want {n - 1}; "
-            f"min Re(others) {others_min_real:.2e}")
-    return report
+    Q, R = shape.plane
+    B = Q.conj().T @ KL_tilde @ Q
+    c, s = motion.uniform_coeff, motion.shape_coeff
+    predicted = -spec.kappa_tilde * np.array([[0, (R[0, 0] * c + R[0, 1] * s) / R[1, 1]], [0, s]])
+    norm, two = np.linalg.norm(B), 2.0 * np.eye(shape.n - 2)
+    T, Z = schur(B[2:, 2:], output="complex")
+    # info 1 (a mode of B22 on the imaginary axis) solves with T perturbed
+    # by rounding, and the margin on P below refuses that solution
+    X, scale, _ = ztrsyl(T, T, two, trana="C")
+    X = X / scale
+    lo, hi = np.linalg.eigvalsh(X)[[0, -1]]
+    cert = SplitCertificate(
+        KL_tilde, Q, B, T, Z,
+        split_residual=float(np.linalg.norm(B[2:, :2]) / norm),
+        motion_residual=float(np.linalg.norm(B[:2, :2] - predicted) / norm),
+        lyapunov_residual=float(np.linalg.norm(T.conj().T @ X + X @ T - two)
+                                / (norm * np.linalg.norm(X))),
+        min_eig_P=float(lo), max_eig_P=float(hi))
+    tol = TOLERANCES["spectrum_rel"]
+    faults = [f"{name} {value:.2e} above {tol:.0e}" for name, value in (
+        ("invariance residual ||B21||", cert.split_residual),
+        ("B11 error against the motion's (c, s)", cert.motion_residual),
+        ("Lyapunov residual", cert.lyapunov_residual)) if not value <= tol]
+    if not (lo > 0 and tol * norm * hi < 1):
+        faults.append(f"P not positive definite beyond rounding: eig(P) in [{lo:.2e}, {hi:.2e}]")
+    if faults:
+        raise SpectrumMismatch("shape-plane split not certified: " + "; ".join(faults))
+    return cert
 
 
 @dataclass(frozen=True)
@@ -198,36 +172,42 @@ class SteadyStatePrediction:
 
 
 def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePrediction:
-    """Expand p(0) in the (generalized) eigenbasis of -K L~ and return the
-    non-decaying part of the solution."""
-    es, motion, spec, shape = design.eigensystem, design.motion, design.spec, design.shape
-    ones = np.ones(shape.n, dtype=complex)
-    target, basis_shape, rate = None, shape.p_star, 0j
-    if motion.case == "moving":
-        target, basis_shape = _moving_mode(motion, spec, shape)
-        rate = -target
+    """The part of the solution of p' = -K L~ p that does not decay, from the
+    certificate's split: with x = Q^H p(0) and B11 Y - Y B22 = -B12,
+    z = x1 - Y x2 follows z' = -B11 z while x2 decays, so Q1 z is p(0)
+    projected on S along the rest, and (c1, c2) its coordinates in
+    [1, basis_shape]. The equation is solved on T (ztrsyl), which fails
+    only if the moving mode -kappa~ s is an eigenvalue off S."""
+    cert, motion, spec, shape = design.certificate, design.motion, design.spec, design.shape
+    basis_shape, rate = shape.p_star, 0j
+    if motion.case == "moving":  # eigenvector (c/s) 1 + p* of -kappa~ s
+        basis_shape = motion.uniform_coeff / motion.shape_coeff + shape.p_star
+        rate = spec.kappa_tilde * motion.shape_coeff
     elif motion.case == "translation":
         # the chain K L~ p* = -kappa~ c 1 taken analytically; -p* gives c2 the
         # published sign, velocity = -c2 kappa~ c
         basis_shape = -shape.p_star
-    rest = split_spectrum(es.values, target)[2:]
-    W = np.column_stack([ones, basis_shape, es.vectors[:, rest]])
-    if np.linalg.cond(W) > TOLERANCES["cond_limit"]:
+    B, T, Z = cert.B, cert.T, cert.Z
+    W, scale, info = ztrsyl(B[:2, :2], T, -B[:2, 2:] @ Z, isgn=-1)  # W = Y Z
+    if info:
+        gap = np.abs(np.diag(B)[:2, None] - np.diag(T))
         raise ExpansionIllConditioned(
-            f"eigenbasis condition number {np.linalg.cond(W):.2e}")
-    coeff = np.linalg.solve(W, np.asarray(p0, dtype=complex))
-    c1, c2 = complex(coeff[0]), complex(coeff[1])
+            f"eigenvalue {T.diagonal()[gap.min(0).argmin()]:.4g} of K L~ off the shape "
+            "plane collides with the moving mode: p(0) has no unique split")
+    x = cert.Q.conj().T @ np.asarray(p0, dtype=complex)
+    z = x[:2] - W @ (Z.conj().T @ x[2:]) / scale
+    ones = np.ones(shape.n, dtype=complex)
+    c1, c2 = np.linalg.solve(cert.Q[:, :2].conj().T @ np.column_stack([ones, basis_shape]), z)
     velocity = -c2 * spec.kappa_tilde * motion.uniform_coeff \
         if motion.case == "translation" else 0j
-    return SteadyStatePrediction(c1, c2, motion.case, basis_shape, rate, velocity)
+    return SteadyStatePrediction(complex(c1), complex(c2), motion.case, basis_shape, rate, velocity)
 
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Everything the end-to-end design produces; `eigensystem` is the one
-    eigendecomposition of K L~ that verification and prediction read, and
-    `residuals` what verification certified for the case of `motion`
-    (SpectralReport, JordanReport, or None when static)."""
+    """Everything the end-to-end design produces; `certificate` is the
+    shape-plane split of K L~ that stage verify certified, the one
+    decomposition of K L~, which the prediction and the report read."""
 
     graph: FormationGraph
     shape: ReferenceShape
@@ -236,25 +216,23 @@ class DesignResult:
     motion: MotionMatrices
     modified: ModifiedLaplacian
     stability: StabilityAnalysis
-    eigensystem: Eigensystem
-    residuals: SpectralReport | JordanReport | None
+    certificate: SplitCertificate
     boost: float
 
     @property
     def KL_tilde(self) -> np.ndarray:
-        return self.eigensystem.matrix
+        return self.certificate.matrix
 
 
 def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
                     seed: int = 0) -> DesignResult:
     """Steps: check the graph is 2-rooted, synthesize weights and gains,
     build the motion matrices, bound the speed gain, assemble L~ and verify
-    the eigenstructure of the motion's case. The bound b1 of the gain rule's
-    KL is taken once; a kappa~ it does not admit boosts the gains by 2^k, k
-    the binary exponent of kappa~ / b1, and 2^k b1 certifies the exactly
-    scaled 2^k KL. A static design has mu~ = 0, so an unbounded kappa~ bound,
-    boost 1 and K L~ = KL: it keeps the gain rule's eig of KL and needs no
-    check of its own."""
+    the shape-plane split of K L~. The bound b1 of the gain rule's KL is
+    taken once; a kappa~ it does not admit boosts the gains by 2^k, k the
+    binary exponent of kappa~ / b1, and 2^k b1 certifies the exactly scaled
+    2^k KL. A static design has mu~ = 0, so an unbounded kappa~ bound,
+    boost 1 and K L~ = KL, certified like every other case."""
     stage = "weights"
     try:
         feas = is_two_rooted(g)
@@ -281,14 +259,10 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         stage = "modified"
         modified = modified_laplacian(L, gains, weights, motion, spec)
         stage = "verify"
-        es, residuals = KL, None
-        if motion.case != "static":
-            es = eigensystem(gains[:, None] * modified.L_tilde)
-            residuals = (verify_motion_spectrum(es, motion, spec, shape)
-                         if motion.case == "moving"
-                         else verify_translation_jordan(es, motion, spec, shape))
+        certificate = verify_motion_spectrum(gains[:, None] * modified.L_tilde,
+                                             motion, spec, shape)
         bundle = LaplacianBundle(L=L, gains=gains, weights=weights)
         return DesignResult(g, shape, spec, bundle, motion, modified,
-                            stability, es, residuals, boost)
+                            stability, certificate, boost)
     except Exception as exc:
         raise PipelineFailed(stage, exc) from exc

@@ -1,7 +1,7 @@
 """The package names the benchmark under `bench/` reads.
 
-Its tracer binds the `cfg` and `path` arguments by name, times the two
-verify functions and counts design_pipeline's boost; its checks read the
+Its tracer binds the `cfg` and `path` arguments by name, times the verify
+function and counts design_pipeline's boost; its checks read the
 design's Laplacian, gains and L~ and a failure's stage; its workloads load
 scenario files and documents, design from a scenario's fields and read a
 simulated trajectory. A rename there breaks the benchmark rather than the
@@ -39,7 +39,7 @@ def test_traced_functions_and_parameters():
                               (cli, "write_trajectory_csv", "path")):
         assert _public_function(module, name)
         assert arg in inspect.signature(getattr(module, name)).parameters
-    for name in ("design_pipeline", "verify_motion_spectrum", "verify_translation_jordan"):
+    for name in ("design_pipeline", "verify_motion_spectrum"):
         assert _public_function(spectral, name)
 
 

@@ -26,14 +26,17 @@ def test_design_writes_report(tmp_path):
     code = main(["design", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["gain_boost"] == 1.0
     assert len(report["weights"]) == 2 * 9  # both orientations of 9 edges
     assert len(report["eigenvalues_KL_tilde"]) == 5
     # spectral check summary is echoed with its tolerances and seeds
     assert report["tolerances"]["spectrum_rel"] == 1e-8
     assert report["seeds"] == {"design": 0, "sim": 7}
-    assert report["spectral_residuals"]["moving_residual"] < 1e-8
+    residuals = report["spectral_residuals"]
+    assert residuals["split_residual"] < 1e-14 and residuals["motion_residual"] < 1e-14
+    assert 0 < residuals["min_eig_P"] <= residuals["max_eig_P"]
+    assert residuals["cond_P"] == residuals["max_eig_P"] / residuals["min_eig_P"]
 
 
 def test_simulate_outputs_and_determinism(tmp_path):
@@ -274,7 +277,7 @@ def test_verify_passes(tmp_path, capsys):
     code = main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "PASS moving-eigenvalue" in out
+    assert "PASS shape-plane-split (moving): ||B21|| " in out
     assert "PASS perturbation-bound" in out
 
 
@@ -282,7 +285,7 @@ def test_verify_translation_case(tmp_path, capsys):
     path = _write(tmp_path, "traveling_heading")
     code = main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 0
-    assert "PASS translation-chain" in capsys.readouterr().out
+    assert "PASS shape-plane-split (translation): ||B21|| " in capsys.readouterr().out
 
 
 def test_verify_warns_above_bound(tmp_path, capsys):

@@ -170,7 +170,7 @@ def test_orientation_invariance():
             a, b = (design_pipeline(h, shape, spec, seed=1) for h in (g, flipped))
             for x, y in ((a.bundle.weights, b.bundle.weights), (a.bundle.gains, b.bundle.gains),
                          (a.modified.L_tilde, b.modified.L_tilde),
-                         (a.eigensystem.values, b.eigensystem.values)):
+                         (a.certificate.eigenvalues, b.certificate.eigenvalues)):
                 assert x.tobytes() == y.tobytes()
 
 

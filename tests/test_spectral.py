@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 
@@ -9,14 +10,14 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lapmaneuver import (SCENARIO_NAMES, ChainBroken, Eigensystem, FormationGraph,
-                         JordanReport, MotionSpec, PipelineFailed, ReferenceShape,
-                         SpectralReport, SpectrumMismatch, builtin_scenario,
-                         center_shape, design_pipeline, predict_steady_state,
-                         scenario_from_dict, stability_bound,
-                         verify_motion_spectrum, verify_translation_jordan)
-from lapmaneuver.shapes import TOLERANCES
-from lapmaneuver.spectral import MAX_BOOSTS, eigensystem, split_spectrum
+from lapmaneuver import (SCENARIO_NAMES, Eigensystem, ExpansionIllConditioned,
+                         FormationGraph, MotionSpec, PipelineFailed, ReferenceShape,
+                         SplitCertificate, builtin_scenario, center_shape,
+                         design_pipeline, exact_trajectory, predict_steady_state,
+                         scenario_from_dict, shape_error, stability_bound)
+from lapmaneuver.cli import main
+from lapmaneuver.shapes import TOLERANCES, eigensystem, split_spectrum
+from lapmaneuver.spectral import MAX_BOOSTS
 
 from conftest import random_instance, ring_chord, square_graph, square_shape
 
@@ -40,18 +41,18 @@ def test_unmodified_has_double_kernel(square):
 
 def test_rotation_moving_eigenvalue(square):
     d = _design(MotionSpec(omega=1.0, kappa_r=0.025))
-    s = d.residuals
-    assert abs(s.moving_eigenvalue - (-0.025j)) < 1e-8
-    assert s.moving_vector_angle < 1e-6
-    assert s.kernel_vector_angle < 1e-6
-    assert s.others_min_real > 0
-    assert s.algebraic_residual < 1e-10
+    c = d.certificate
+    # B11 is triangular with the kernel and the moving mode on its diagonal
+    assert abs(c.eigenvalues[0]) < 1e-12 and abs(c.eigenvalues[1] - (-0.025j)) < 1e-12
+    assert abs(c.B[1, 0]) < 1e-14
+    assert c.split_residual < 1e-14 and c.motion_residual < 1e-14
+    assert c.min_eig_P > 0 and np.diag(c.T).real.min() > 0
 
 
 def test_rotation_scaling_combined_sign(square):
     d = _design(MotionSpec(a=-1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025))
     target = -(0.025 * -1.0 + 1j * 0.025 * 1.0)
-    assert abs(d.residuals.moving_eigenvalue - target) < 1e-8
+    assert abs(d.certificate.eigenvalues[1] - target) < 1e-8
     assert target == 0.025 - 0.025j
 
 
@@ -71,12 +72,13 @@ def test_translation_chain(square):
     g, shape = square
     spec = MotionSpec(v_star=1.0, kappa_t=0.05)
     d = _design(spec)
-    j = d.residuals
-    assert j.rank == shape.n - 1 == 3
     # K L~ p* = -0.05 * 1
     resid = np.abs(d.KL_tilde @ shape.p_star + 0.05 * np.ones(4)).max()
     assert resid < 1e-12
-    assert j.squared_residual < 1e-9
+    # the chain: B11 is nilpotent and nonzero, the rest is certified stable
+    B11 = d.certificate.B[:2, :2]
+    assert np.abs(B11 @ B11).max() < 1e-14 and abs(B11[0, 1]) > 0.01
+    assert d.certificate.min_eig_P > 0
 
 
 def test_static_degenerate_chain(square):
@@ -85,59 +87,60 @@ def test_static_degenerate_chain(square):
     assert np.abs(d.KL_tilde @ square_shape().p_star).max() < 1e-12
 
 
-def test_broken_weights_detected(square):
-    g, shape = square
-    spec = MotionSpec(omega=1.0, kappa_r=0.025)
-    d = _design(spec)
-    KLt = d.KL_tilde.copy()
-    KLt[0, 1] += 1e-2
-    with pytest.raises(SpectrumMismatch):
-        verify_motion_spectrum(eigensystem(KLt), d.motion, spec, shape)
+def _broken_weights(A, Q):
+    A = A.copy()
+    A[0, 1] += 1e-2
+    return A
 
 
-def test_moved_shape_eigenvector_detected(square):
+def _bent(A, Q):
     # S fixes 1 and keeps every eigenvalue, but bends the moving eigenvector
-    g, shape = square
-    spec = MotionSpec(omega=1.0, kappa_r=0.025)
-    d = _design(spec)
-    e12, e34 = np.array([1, -1, 0, 0]), np.array([0, 0, 1, -1])
-    S = np.eye(4) + 0.2 * np.outer(e12, e34)
-    S_inv = np.eye(4) - 0.2 * np.outer(e12, e34)
-    with pytest.raises(SpectrumMismatch, match="shape eigenvector"):
-        verify_motion_spectrum(eigensystem(S @ d.KL_tilde @ S_inv), d.motion,
-                               spec, shape)
+    S = np.eye(len(A))
+    S[:2, 2:4] = 0.2 * np.array([[1, -1], [-1, 1]])
+    return S @ A @ (2 * np.eye(len(A)) - S)
 
 
-def test_translation_rank_deficit_detected(square):
-    # projecting out w orthogonal to {1, p*} keeps the chain, drops the rank
-    g, shape = square
-    spec = MotionSpec(v_star=1.0, kappa_t=0.05)
-    d = _design(spec)
-    q, _ = np.linalg.qr(np.column_stack([np.ones(4), shape.p_star]), mode="complete")
-    w = q[:, 2]
-    broken = d.KL_tilde @ (np.eye(4) - np.outer(w, w.conj()))
-    with pytest.raises(ChainBroken, match="rank 2"):
-        verify_translation_jordan(eigensystem(broken), d.motion, spec, shape)
+def _rank_deficit(A, Q):
+    # projecting out w orthogonal to {1, p*} keeps S and B11, makes B22 singular
+    return A @ (np.eye(len(A)) - np.outer(Q[:, 2], Q[:, 2].conj()))
 
 
-def test_translation_unstable_remainder_fails_at_verify(square, monkeypatch):
-    # the mutant keeps K L~ on its invariant plane span{1, p*}, so the chain,
-    # the kernel and the rank hold, and negates it on the other eigenvectors
+def _flipped(A, Q):
+    # keeps K L~ on S and negates the rest: B22 -> -B22, whose P is negative
+    return A @ Q @ np.diag([1.0, 1.0] + [-1.0] * (len(A) - 2)) @ Q.conj().T
+
+
+def _wrong_drift(A, Q):
+    # K L~ p* gains a multiple of 1 and K L~ 1 is kept (Q[:, 1] is p* / ||p*||,
+    # orthogonal to 1): the translation's drift is off, and only B11 changes
+    return A + 0.025 * np.outer(np.ones(len(A)), Q[:, 1].conj())
+
+
+MUTANTS = [("enclosing", _broken_weights, "invariance residual"),
+           ("enclosing", _bent, "invariance residual"),
+           ("traveling_heading", _rank_deficit, "P not positive definite"),
+           ("traveling_heading", _flipped, "P not positive definite"),
+           ("traveling_heading", _wrong_drift, "B11 error")]
+
+
+@pytest.mark.parametrize("name, mutate, match", MUTANTS,
+                         ids=["broken-weights", "bent-eigenvector", "rank-deficit",
+                              "flipped-remainder", "wrong-drift"])
+def test_mutants_fail_at_verify_with_exit_4(tmp_path, capsys, monkeypatch, name, mutate, match):
     from lapmaneuver import spectral
-    g, shape = square
+    real = spectral.verify_motion_spectrum
 
-    def mutant(A):
-        es = eigensystem(A)
-        rest = split_spectrum(es.values)[2:]
-        T = np.column_stack([np.ones(4), shape.p_star, es.vectors[:, rest]])
-        flip = T @ np.diag([1.0, 1.0] + [-1.0] * rest.size) @ np.linalg.inv(T)
-        return eigensystem(A @ flip)
+    def mutant(A, motion, spec, shape):
+        return real(mutate(A, shape.plane[0]), motion, spec, shape)
 
-    monkeypatch.setattr(spectral, "eigensystem", mutant)
-    with pytest.raises(PipelineFailed, match=r"min Re\(others\) -") as failed:
-        _design(MotionSpec(v_star=1.0, kappa_t=0.05))
-    assert failed.value.stage == "verify" and isinstance(failed.value.cause, ChainBroken)
-    assert "rank 3, want 3" in str(failed.value)
+    monkeypatch.setattr(spectral, "verify_motion_spectrum", mutant)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(builtin_scenario(name)))
+    assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "verification failed: design pipeline failed at stage 'verify': " \
+           "shape-plane split not certified: " in err
+    assert match in err
 
 
 STATIC = {"motion": {"a": 0.0, "omega": 0.0, "kappa_r": 0.0, "kappa_s": 0.0}}
@@ -147,18 +150,21 @@ STATIC = {"motion": {"a": 0.0, "omega": 0.0, "kappa_r": 0.0, "kappa_s": 0.0}}
                          + [("enclosing", {"motion": {"kappa_tilde": 20.0}}),
                             ("spiral_outward", STATIC)])
 def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
-    # every eig/eigvals of the pipeline and the report, gain rule included:
-    # no matrix twice, even formed another way (equal up to rounding), so
-    # the gain rule's K L and the shipped K L~ once each, and one bound; a
-    # boost scales that bound, so the shipped 2^k K L is never decomposed; a
-    # static design's K L~ is its K L
+    # every eig/eigvals and schur of the pipeline and the report, gain rule
+    # included: no matrix twice, even formed another way (equal up to
+    # rounding), so the gain rule's K L once and one bound; a boost scales
+    # that bound, so the shipped 2^k K L is never decomposed; K L~ never goes
+    # to eig (a static design's K L~ is the gain rule's K L), and its block
+    # B22 off the shape plane is Schur-decomposed once, for design and report
     from lapmaneuver import spectral
     from lapmaneuver.cli import build_report
 
-    seen, bounds = [], []
+    seen, bounds, schurs = [], [], []
     eig, eigvals = np.linalg.eig, np.linalg.eigvals
     monkeypatch.setattr(spectral, "stability_bound",
                         lambda *args: bounds.append(args) or stability_bound(*args))
+    monkeypatch.setattr(spectral, "schur", lambda A, **kw: schurs.append(np.array(A))
+                        or scipy.linalg.schur(A, **kw))
 
     def counted(fn):
         def wrapper(A):
@@ -177,11 +183,12 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
         return sum(A.shape == M.shape and np.abs(A - M).max() <= 1e-12 * np.abs(M).max()
                    for A in seen)
 
-    assert count(d.KL_tilde) == 1
+    assert count(d.KL_tilde) == (d.motion.case == "static")
     assert count(d.bundle.KL / d.boost) == 1
     assert count(d.bundle.KL) == (d.boost == 1)
     assert len(bounds) == 1
     assert all(count(A) == 1 for A in seen)
+    assert len(schurs) == 1 and np.array_equal(schurs[0], d.certificate.B[2:, 2:])
 
 
 # centroid or agent center, each of v*, omega and a zero or not, where
@@ -199,9 +206,7 @@ def test_case_is_decided_once_from_the_compiled_motion(square, kw):
     expected = ("moving" if kw["omega"] or kw["a"]
                 else "translation" if kw["v_star"] else "static")
     assert d.motion.case == expected
-    residuals = {"moving": SpectralReport, "translation": JordanReport,
-                 "static": type(None)}[d.motion.case]
-    assert type(d.residuals) is residuals
+    assert type(d.certificate) is SplitCertificate  # one certificate for every case
     rng = np.random.default_rng(5)
     p0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert predict_steady_state(p0, d).case == d.motion.case
@@ -248,12 +253,13 @@ def test_pipeline_boosts_until_admitted(square):
     boosted = _design(MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=want))
     assert boosted.boost > 1.0
     assert boosted.stability.kappa_tilde_max > want
-    assert boosted.residuals.others_min_real > 0
+    assert boosted.certificate.min_eig_P > 0
 
 
 def test_pipeline_static_trivial(square):
     d = _design(MotionSpec())
-    assert d.residuals is None
+    assert np.abs(d.certificate.B[:2, :2]).max() < 1e-12  # S is the kernel
+    assert d.certificate.min_eig_P > 0
     assert d.boost == 1.0
 
 
@@ -335,8 +341,8 @@ def test_random_instances_verify(square):
         g, shape = random_instance(5, seed=seed)
         spec = MotionSpec(omega=0.5, kappa_r=0.05)
         d = design_pipeline(g, shape, spec, seed=seed)
-        assert d.residuals.moving_residual < 1e-8
-        assert d.residuals.others_min_real > 0
+        assert abs(d.certificate.eigenvalues[1] - (-0.025j)) < 1e-8  # -kappa~ i kappa_r omega
+        assert d.certificate.min_eig_P > 0
 
 
 def test_ring_chord_48_designs():
@@ -344,14 +350,63 @@ def test_ring_chord_48_designs():
     # never stabilized
     g, shape = ring_chord(48)
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025))
-    assert d.residuals.others_min_real > 0
+    assert d.certificate.min_eig_P > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ring_chord_64_designs(seed):
     g, shape = ring_chord(64)
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=seed)
-    assert d.residuals.others_min_real > 0
+    assert d.certificate.min_eig_P > 0
+
+
+def test_ring_chord_100_translation_certifies():
+    # the benchmark's ring+chord at n = 100 with its 1e-4 jitter (seed 1):
+    # the boost spreads the singular values of K L~ so far that a rank test
+    # at 1e-8 sigma_1 read rank 98 here and refused the design
+    g, shape = ring_chord(100)
+    rng = np.random.default_rng([1, 100])
+    shape = center_shape(shape.p_star + 1e-4 * (rng.standard_normal(100)
+                                                 + 1j * rng.standard_normal(100)))
+    d = design_pipeline(g, shape, MotionSpec(v_star=1.0, kappa_t=0.05), seed=3)
+    c = d.certificate
+    assert d.motion.case == "translation" and d.boost > 1e3
+    assert c.split_residual < 1e-14 and c.motion_residual < 1e-14
+    assert c.min_eig_P > 0 and c.cond_P < 1e7
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_shape_error_settles_within_the_lyapunov_bound(name):
+    # with B21 = 0, x2 = Q2^H p obeys x2' = -B22 x2 exactly, and ||x2|| is the
+    # numerator of shape_error; V = x2^H P x2 has V' = -2 ||x2||^2, so
+    # ||x2(t)|| <= sqrt(cond P) e^(-t / lambda_max(P)) ||x2(0)||, up to the
+    # rounding floor of x2 (below 1e-14 ||p|| on these runs). Heading control
+    # changes the closed loop, so it is removed
+    sc = scenario_from_dict(builtin_scenario(name))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    traj = exact_trajectory(d.modified.L_tilde, d.bundle.gains,
+                            dataclasses.replace(sc.sim, heading=None), sc.shape)
+    c = d.certificate
+    x2 = np.linalg.norm(traj.states @ c.Q[:, 2:].conj(), axis=1)
+    norms = np.linalg.norm(traj.states, axis=1)
+    assert np.allclose(shape_error(traj.states, sc.shape), x2 / norms, rtol=1e-12, atol=0)
+    bound = np.sqrt(c.cond_P) * np.exp(-traj.times / c.max_eig_P) * x2[0]
+    assert np.all(x2 <= bound * (1 + 1e-9) + 1e-13 * norms)
+    assert x2[-1] < 1e-6 * x2[0]  # the runs settle, so the bound is not vacuous
+
+
+def test_a_moving_mode_inside_the_rest_of_the_spectrum_is_refused():
+    # Re(-kappa~ s) > 0 (a shrinking formation) puts the moving mode among
+    # the decaying ones; where it equals one, p(0) has no unique split
+    sc = scenario_from_dict(builtin_scenario("shaped_consensus_inward"))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    c = d.certificate
+    assert (-sc.spec.kappa_tilde * d.motion.shape_coeff).real > 0
+    T = c.T.copy()
+    T[3, 3] = c.B[1, 1]
+    hit = dataclasses.replace(d, certificate=dataclasses.replace(c, T=T))
+    with pytest.raises(ExpansionIllConditioned, match=f"eigenvalue {c.B[1, 1]:.4g} of K L~"):
+        predict_steady_state(sc.shape.p_star, hit)
 
 
 @pytest.mark.parametrize("key, value, stage", [("spectrum_rel", 1e-30, "verify"),
@@ -569,6 +624,14 @@ def test_ear_graphs_design_or_fail_at_a_stage_property(instance, spec, seed):
     if d.motion.case == "moving":  # the relocated eigenvalue -kappa~ s
         lam = np.linalg.eigvals(KLt)
         assert np.abs(lam + kt * s).min() <= 1e-8 * np.abs(lam).max()
+    # the certificate against an independent Lyapunov solve: S = span{1, p*}
+    # is invariant and B22^H P + P B22 = 2 I has P > 0
+    Q = shape.plane[0]
+    B = Q.conj().T @ KLt @ Q
+    assert np.linalg.norm(B[2:, :2]) <= TOLERANCES["spectrum_rel"] * np.linalg.norm(B)
+    P = scipy.linalg.solve_continuous_lyapunov(B[2:, 2:].conj().T, 2 * np.eye(g.n - 2))
+    np.linalg.cholesky((P + P.conj().T) / 2)
+    assert d.certificate.max_eig_P == pytest.approx(np.linalg.norm(P, 2), rel=1e-6)
     _assert_bound_scales_with_the_boost(d)
 
 
