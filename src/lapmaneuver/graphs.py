@@ -41,20 +41,40 @@ class FormationGraph:
         return self._neighbors[i]
 
 
-def _reachable(g: FormationGraph, sources: set[int], removed: set[int]) -> set[int]:
-    """BFS from sources in the graph with `removed` nodes deleted."""
-    seen = set(sources) - removed
-    stack = list(seen)
-    while stack:
-        for v in g.neighbors(stack.pop()):
-            if v not in removed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _blocks(g: FormationGraph) -> tuple[int, list[int], list[list[int]]]:
+    """One iterative depth-first search from node 1 with low-points
+    (Hopcroft & Tarjan, CACM 16(6), 1973), reading each neighbor tuple once:
+    the number of nodes reached, parts[v] = the number of parts G - v leaves
+    (within the reached component), and the blocks, popped as node lists."""
+    disc, low, pos = [0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1)
+    parts = [1] * (g.n + 1)
+    parts[1] = 0  # the root leaves one part per child, the others one more
+    disc[1] = low[1] = reached = 1
+    stack, blocks, todo = [1], [], [(1, 0, iter(g.neighbors(1)))]
+    while todo:
+        v, parent, it = todo[-1]
+        for w in it:
+            if not disc[w]:
+                reached += 1
+                disc[w] = low[w] = reached
+                pos[w] = len(stack)
+                stack.append(w)
+                todo.append((w, v, iter(g.neighbors(w))))
+                break
+            low[v] = min(low[v], disc[w])  # the tree edge back too: no lower than disc[parent]
+        else:
+            todo.pop()
+            if parent:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:  # v's subtree is a part of G - parent
+                    parts[parent] += 1
+                    blocks.append(stack[pos[v]:] + [parent])
+                    del stack[pos[v]:]
+    return reached, parts, blocks
 
 
 def is_connected(g: FormationGraph) -> bool:
-    return len(_reachable(g, {1}, set())) == g.n
+    return _blocks(g)[0] == g.n
 
 
 @dataclass(frozen=True)
@@ -70,31 +90,23 @@ def is_two_rooted(g: FormationGraph) -> TwoRootedReport:
     first such pair.
 
     In a connected graph {a, b} is a root set iff neither a nor b is a cut
-    vertex and every cut vertex splits the graph into exactly two parts,
-    with a in one and b in the other. One search per deleted node, and a
-    second one when it is a cut vertex, decide both: O(n (n + m)).
+    vertex and every cut vertex separates a from b: each cut vertex leaves
+    exactly two parts and the blocks form a path, no block holding three or
+    more cut vertices. The roots are then free nodes of the two end blocks,
+    and any two nodes when there is no cut vertex. One search decides it:
+    O(n + m).
     """
-    if not is_connected(g):
+    reached, parts, blocks = _blocks(g)
+    if reached < g.n:
         return TwoRootedReport(False, reason="graph is disconnected")
-    nodes = range(1, g.n + 1)
-    first_part = {}  # cut vertex r -> the part of G - r that holds node 1 (2 if r = 1)
-    for r in nodes:
-        part = _reachable(g, {2 if r == 1 else 1}, {r})
-        rest = set(nodes) - part - {r}  # the other parts of G - r
-        if rest and len(_reachable(g, {min(rest)}, {r})) < len(rest):
-            return TwoRootedReport(False, reason=f"deleting node {r} leaves three or more parts")
-        if rest:
-            first_part[r] = part
-    # a root pair lies on opposite sides of every cut vertex: its side
-    # signatures (the cut vertices whose first part holds it) are complements
-    cut = frozenset(first_part)
-    signature = {v: frozenset(r for r in cut if v in first_part[r])
-                 for v in nodes if v not in cut}
-    holders: dict[frozenset, list[int]] = {}
-    for v, s in signature.items():
-        holders.setdefault(s, []).append(v)
-    pair = next(((a, b) for a, s in signature.items()
-                 for b in holders.get(cut - s, ()) if b > a), None)
-    if pair is None:
-        return TwoRootedReport(False, reason="no 2-node root set found")
-    return TwoRootedReport(True, certificate=pair)
+    split = next((v for v in range(1, g.n + 1) if parts[v] >= 3), None)
+    if split is not None:
+        return TwoRootedReport(False, reason=f"deleting node {split} leaves three or more parts")
+    ends = []  # the smallest free node of each end block
+    for block in blocks:
+        cuts = sum(parts[v] == 2 for v in block)
+        if cuts >= 3:
+            return TwoRootedReport(False, reason="no 2-node root set found")
+        if cuts == 1:
+            ends.append(min(v for v in block if parts[v] == 1))
+    return TwoRootedReport(True, certificate=tuple(sorted(ends)) if ends else (1, 2))

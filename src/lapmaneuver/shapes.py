@@ -97,23 +97,33 @@ def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
 
 
 def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
+    """Rows by degree: one stacked SVD per degree gives the null spaces of the
+    1 x m rows [z*_ij1 ... z*_ijm]; the coefficients are drawn in node order."""
+    nbrs = [g.neighbors(i) for i in range(1, g.n + 1)]
+    deg = np.array([len(a) for a in nbrs])
+    first, owner = np.cumsum(deg) - deg, np.repeat(np.arange(g.n), deg)
+    cols = np.fromiter((j - 1 for a in nbrs for j in a), dtype=np.intp, count=owner.size)
+    z = shape.p_star[owner] - shape.p_star[cols]
+    bad = deg < 2
+    bad[owner[z == 0]] = True
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InfeasibleRow(f"node {i + 1} has degree {deg[i]} < 2" if deg[i] < 2 else
+                            f"node {i + 1} has a coincident neighbor position")
+    draws = np.where(deg > 2, 2 * (deg - 1), 0)  # a row's real parts, then its imaginary
+    x, start = rng.standard_normal(draws.sum()), np.cumsum(draws) - draws
     W = np.zeros((g.n, g.n), dtype=complex)
-    for i in range(1, g.n + 1):
-        nbrs = g.neighbors(i)
-        if len(nbrs) < 2:
-            raise InfeasibleRow(f"node {i} has degree {len(nbrs)} < 2")
-        z = np.array([shape.edge_vector(i, j) for j in nbrs])
-        if np.any(z == 0):
-            raise InfeasibleRow(f"node {i} has a coincident neighbor position")
-        if len(nbrs) == 2:
-            W[i - 1, np.subtract(nbrs, 1)] = z[1], -z[0]
+    for m in sorted(set(deg.tolist())):
+        rows = np.flatnonzero(deg == m)
+        edges = first[rows, None] + np.arange(m)
+        Z = z[edges]
+        if m == 2:  # closed form (w_ij, w_ik) = (z*_ik, -z*_ij)
+            W[rows[:, None], cols[edges]] = np.column_stack([Z[:, 1], -Z[:, 0]])
             continue
-        # null space of the 1 x m row [z*_ij1 ... z*_ijm]
-        _, _, vh = np.linalg.svd(z.reshape(1, -1))
-        basis = vh[1:].conj().T
-        row = basis @ (rng.standard_normal(basis.shape[1])
-                       + 1j * rng.standard_normal(basis.shape[1]))
-        W[i - 1, np.subtract(nbrs, 1)] = row / np.abs(row).max()
+        basis = np.linalg.svd(Z[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
+        at = start[rows, None] + np.arange(m - 1)
+        row = (basis @ (x[at] + 1j * x[at + m - 1])[..., None])[..., 0]
+        W[rows[:, None], cols[edges]] = row / np.abs(row).max(axis=1, keepdims=True)
     return W
 
 
@@ -154,7 +164,8 @@ def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
     """Complex diagonal gains k with min Re of the non-kernel spectrum of KL
     at least gain_margin_rel * rho(L), and the eig of that KL; deterministic.
 
-    K = I when it passes. Otherwise start from k_i = 1/l_ii (1 where l_ii = 0),
+    K = I when it passes, decided on eigenvalues alone and decomposed with
+    vectors only then. Otherwise start from k_i = 1/l_ii (1 where l_ii = 0),
     a unit diagonal of KL, and ascend the soft-min of Re lambda_j / rho(KL)
     over the non-kernel spectrum in log-gains, mean real part removed (a
     uniform scaling leaves the objective alone). The gradient is
@@ -165,19 +176,19 @@ def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
     record stability_bound reads; else StabilizationFailed after _GAIN_STEPS.
     """
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
+    ev = np.linalg.eigvals(KL := k[:, None] * L)  # K = I, its vectors read only if it passes
+    margin = TOLERANCES["gain_margin_rel"] * np.abs(ev).max()
+    if ev[split_spectrum(ev)[2:]].real.min() >= margin:
+        return k, eigensystem(KL)
+    k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
-    for step in range(_GAIN_STEPS + 2):
+    for _ in range(_GAIN_STEPS + 1):
         trial = k if d is None else k * np.exp(t * d)
         ev, V = np.linalg.eig(KL := trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
-        if step == 0:
-            margin = TOLERANCES["gain_margin_rel"] * rho
         if lam.real.min() >= margin:
             return trial, Eigensystem(KL, ev, V)
-        if step == 0:
-            k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
-            continue
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
             grad = (lam[:, None] * np.linalg.inv(V)[rest] * V.T[rest]).conj()

@@ -90,8 +90,8 @@ class SimConfig:
             raise ValueError("sample_stride must be an integer >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not (np.isfinite(self.box_factor) and self.box_factor != 0):
-            raise ValueError("box_factor must be finite and nonzero")
+        if not 0 < self.box_factor < np.inf:
+            raise ValueError("box_factor must be positive (nonzero) and finite")
         if self.p0 is not None and not np.any(self.p0):
             raise ValueError("initial condition is the zero configuration")
         if not 0 < self.divergence_threshold < np.inf:

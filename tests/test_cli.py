@@ -124,6 +124,7 @@ MALFORMED = {
     "name not a string": lambda d: d.update(name=["x"]),
     "all-zero initial condition": lambda d: d["sim"].update(initial_condition=[[0, 0]] * 4),
     "zero box factor": lambda d: d["sim"].update(box_factor=0),
+    "negative box factor": lambda d: d["sim"].update(box_factor=-1),
 }
 
 

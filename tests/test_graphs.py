@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, center_shape,
-                         design_pipeline, is_connected, is_two_rooted)
-from lapmaneuver import graphs
+from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, TwoRootedReport,
+                         center_shape, design_pipeline, is_connected, is_two_rooted)
 
 from conftest import random_instance
 
@@ -50,6 +49,49 @@ def brute_force_two_rooted(g: FormationGraph):
 def assert_matches_brute_force(g: FormationGraph) -> None:
     report, roots = is_two_rooted(g), brute_force_two_rooted(g)
     assert (report.two_rooted, report.certificate) == (roots is not None, roots)
+
+
+def _reachable(g: FormationGraph, sources: set[int], removed: set[int]) -> set[int]:
+    seen = set(sources) - removed
+    stack = list(seen)
+    while stack:
+        for v in g.neighbors(stack.pop()):
+            if v not in removed and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def per_deletion_two_rooted(g: FormationGraph) -> TwoRootedReport:
+    """The O(n (n + m)) decision by one search per deleted node, and a second
+    one for a cut vertex: {a, b} is a root set iff neither is a cut vertex
+    and the parts of G - r that hold them differ for every cut vertex r."""
+    nodes = range(1, g.n + 1)
+    if len(_reachable(g, {1}, set())) < g.n:
+        return TwoRootedReport(False, reason="graph is disconnected")
+    first_part = {}  # cut vertex r -> the part of G - r that holds node 1 (2 if r = 1)
+    for r in nodes:
+        part = _reachable(g, {2 if r == 1 else 1}, {r})
+        rest = set(nodes) - part - {r}
+        if rest and len(_reachable(g, {min(rest)}, {r})) < len(rest):
+            return TwoRootedReport(False, reason=f"deleting node {r} leaves three or more parts")
+        if rest:
+            first_part[r] = part
+    cut = frozenset(first_part)
+    signature = {v: frozenset(r for r in cut if v in first_part[r])
+                 for v in nodes if v not in cut}
+    holders: dict[frozenset, list[int]] = {}
+    for v, s in signature.items():
+        holders.setdefault(s, []).append(v)
+    pair = next(((a, b) for a, s in signature.items()
+                 for b in holders.get(cut - s, ()) if b > a), None)
+    if pair is None:
+        return TwoRootedReport(False, reason="no 2-node root set found")
+    return TwoRootedReport(True, certificate=pair)
+
+
+def assert_matches_per_deletion(g: FormationGraph) -> None:
+    assert is_two_rooted(g) == per_deletion_two_rooted(g)
 
 
 def test_validation():
@@ -114,6 +156,46 @@ def test_two_rooted_matches_brute_force():
         checked += 1
 
 
+def _random_block_tree(rng, n_max: int) -> FormationGraph:
+    """Cycles, cliques and bridges, each hung from a random earlier node, so
+    blocks branch, chain and leave degree-1 nodes; some edges are then
+    dropped, which may disconnect the graph."""
+    edges, size = [], 1
+    while True:
+        m = int(rng.integers(2, 6))
+        if size + m - 1 > n_max:
+            break
+        block = [int(rng.integers(size))] + list(range(size, size + m - 1))
+        size += m - 1
+        kind = rng.choice(["cycle", "clique", "path"]) if m > 2 else "path"
+        pairs = (list(zip(block, block[1:] + block[:1])) if kind == "cycle"
+                 else list(combinations(block, 2)) if kind == "clique"
+                 else list(zip(block, block[1:])))
+        edges += pairs
+    keep = rng.random(len(edges)) > rng.choice([0.0, 0.05])
+    label = rng.permutation(size) + 1
+    return FormationGraph(size, tuple((int(label[i]), int(label[j]))
+                                      for (i, j), k in zip(edges, keep) if k))
+
+
+def test_two_rooted_matches_per_deletion_on_random_graphs():
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        pairs = list(combinations(range(1, n + 1), 2))
+        m = int(rng.integers(0, min(len(pairs), 3 * n), endpoint=True))
+        idx = rng.choice(len(pairs), size=m, replace=False)
+        for g in (FormationGraph(n, tuple(pairs[k] for k in idx)),
+                  _random_block_tree(rng, n_max=40)):
+            assert_matches_per_deletion(g)
+            report = is_two_rooted(g)
+            verdicts.add(report.reason.split()[0] if report.reason else "certified")
+    # every verdict is exercised: disconnected, a node leaving three parts,
+    # branching blocks, and a certificate
+    assert verdicts == {"graph", "deleting", "no", "certified"}
+
+
 @st.composite
 def block_graphs(draw):
     """Blocks (cycles and cliques) joined at cut vertices into a chain, each
@@ -157,6 +239,7 @@ def test_two_rooted_on_joined_blocks_property(case):
     g, chain = case
     assert is_two_rooted(g).two_rooted == chain
     assert_matches_brute_force(g)
+    assert_matches_per_deletion(g)
 
 
 def _three_rings(n: int, chained: bool) -> FormationGraph:
@@ -170,24 +253,31 @@ def _three_rings(n: int, chained: bool) -> FormationGraph:
 
 
 def test_three_rings_at_one_node_scale(monkeypatch):
-    calls = []
-    reachable = graphs._reachable
+    reads = []
+    neighbors = FormationGraph.neighbors
 
-    def counted(*args):
-        calls.append(args)
-        return reachable(*args)
+    def counted(self, i):
+        reads.append(i)
+        return neighbors(self, i)
 
-    monkeypatch.setattr(graphs, "_reachable", counted)
     n = 100
     g = _three_rings(n, chained=False)
+    monkeypatch.setattr(FormationGraph, "neighbors", counted)
     report = is_two_rooted(g)
     assert report.reason == f"deleting node {n} leaves three or more parts"
-    assert len(calls) <= 2 * n + 1
-    calls.clear()
+    assert len(reads) <= 2 * n
+    reads.clear()
     # the chained rings are 2-rooted at the first node of each outer ring
     assert is_two_rooted(_three_rings(n, chained=True)).certificate == (1, 67)
-    assert len(calls) <= 2 * n + 1
+    assert len(reads) <= 2 * n
+    monkeypatch.undo()
     shape = center_shape(np.exp(2j * np.pi * np.arange(n) / n) * (1 + np.arange(n) / n))
     with pytest.raises(PipelineFailed, match="not 2-rooted") as failed:
         design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025))
     assert failed.value.stage == "weights"
+
+
+def test_chained_rings_certify_at_30001_nodes():
+    # a search 30 000 nodes deep: no recursion limit, one pass
+    report = is_two_rooted(_three_rings(30_001, chained=True))
+    assert report == TwoRootedReport(True, certificate=(1, 20_001))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lapmaneuver import (DegenerateShape, FormationGraph, InfeasibleRow,
                          ReferenceShape, center_shape, laplacian,
                          stabilize_gains, synthesize_weights)
-from lapmaneuver.shapes import TOLERANCES, split_spectrum
+from lapmaneuver.shapes import TOLERANCES, _draw_weights, split_spectrum
 
 from conftest import (decagon_graph, decagon_shape, random_instance, ring_chord,
                       square_graph, square_shape)
@@ -79,6 +79,76 @@ def test_coincident_neighbors_rejected():
     shape = ReferenceShape(raw - raw.mean())
     with pytest.raises(InfeasibleRow):
         synthesize_weights(g, shape, seed=0)
+
+
+def per_node_draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
+    """Row by row in node order: the closed form for two neighbors, else the
+    null space of the 1 x m row from its own SVD and 2 (m - 1) fresh normals."""
+    W = np.zeros((g.n, g.n), dtype=complex)
+    for i in range(1, g.n + 1):
+        nbrs = g.neighbors(i)
+        if len(nbrs) < 2:
+            raise InfeasibleRow(f"node {i} has degree {len(nbrs)} < 2")
+        z = np.array([shape.edge_vector(i, j) for j in nbrs])
+        if np.any(z == 0):
+            raise InfeasibleRow(f"node {i} has a coincident neighbor position")
+        if len(nbrs) == 2:
+            W[i - 1, np.subtract(nbrs, 1)] = z[1], -z[0]
+            continue
+        _, _, vh = np.linalg.svd(z.reshape(1, -1))
+        basis = vh[1:].conj().T
+        row = basis @ (rng.standard_normal(basis.shape[1])
+                       + 1j * rng.standard_normal(basis.shape[1]))
+        W[i - 1, np.subtract(nbrs, 1)] = row / np.abs(row).max()
+    return W
+
+
+def _ring_with_chords(rng, n: int, max_degree: int = 6):
+    """A ring plus random chords up to max_degree per node, on a random shape."""
+    edges, deg = {frozenset((k, k % n + 1)) for k in range(1, n + 1)}, np.full(n + 1, 2)
+    for _ in range(int(rng.integers(0, 2 * n))):
+        i, j = (int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        if frozenset((i, j)) not in edges and max(deg[i], deg[j]) < max_degree:
+            edges.add(frozenset((i, j)))
+            deg[[i, j]] += 1
+    g = FormationGraph(n, tuple(tuple(sorted(e)) for e in edges))
+    return g, center_shape(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def test_weights_match_the_per_node_draw_bit_for_bit():
+    rng = np.random.default_rng(20)
+    degrees = set()
+    for _ in range(60):
+        g, shape = _ring_with_chords(rng, int(rng.integers(3, 25)))
+        degrees |= {len(g.neighbors(i)) for i in range(1, g.n + 1)}
+        seed = int(rng.integers(2**32))
+        batched, per_node = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # re-draws from one generator consume the same stream
+            assert np.array_equal(_draw_weights(g, shape, batched),
+                                  per_node_draw_weights(g, shape, per_node))
+    assert degrees == {2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("defect", ["degree", "coincident", "both"])
+def test_first_bad_row_is_reported_as_by_the_per_node_draw(defect):
+    rng = np.random.default_rng(["degree", "coincident", "both"].index(defect))
+    for _ in range(20):
+        n = int(rng.integers(5, 16))
+        g, shape = _ring_with_chords(rng, n, max_degree=4)
+        edges, p = list(g.oriented_edges), shape.p_star.copy()
+        if defect in ("degree", "both"):  # hang a pendant node from a random node
+            edges.append((int(rng.integers(1, n + 1)), n + 1))
+            p = np.append(p, rng.standard_normal())
+        if defect in ("coincident", "both"):  # move a node onto one of its neighbors
+            i, j = edges[int(rng.integers(len(edges)))]
+            p[i - 1] = p[j - 1]
+        label = rng.permutation(len(p))  # the defects at any node labels
+        g = FormationGraph(len(p), tuple((label[i - 1] + 1, label[j - 1] + 1) for i, j in edges))
+        shape = ReferenceShape((p - p.mean())[np.argsort(label)])
+        with pytest.raises(InfeasibleRow) as expected:
+            per_node_draw_weights(g, shape, np.random.default_rng(0))
+        with pytest.raises(InfeasibleRow, match=f"^{expected.value}$"):
+            _draw_weights(g, shape, np.random.default_rng(0))
 
 
 def test_build_laplacian_two_nodes():

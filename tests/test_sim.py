@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
-                         NotConverged, SimConfig, StepUnstable, Trajectory,
+                         NotConverged, ScenarioError, SimConfig, StepUnstable, Trajectory,
                          ZeroState, builtin_scenario, center_shape,
                          design_pipeline, exact_trajectory, initial_condition,
                          integrate, measure_motion, scenario_from_dict,
@@ -229,6 +229,14 @@ def test_zero_initial_condition_refused(kwargs):
     # the zero configuration has no shape error: report.json would read NaN
     with pytest.raises(ValueError, match="zero configuration|nonzero"):
         SimConfig(**kwargs)
+
+
+def test_negative_box_factor_refused():
+    # a negative half width leaves no box to draw the initial condition from
+    with pytest.raises(ValueError, match="^box_factor must be positive"):
+        SimConfig(box_factor=-1.0)
+    with pytest.raises(ScenarioError, match="invalid sim config: box_factor"):
+        scenario_from_dict(builtin_scenario("enclosing", {"sim": {"box_factor": -1}}))
 
 
 def test_measure_rotation(square):

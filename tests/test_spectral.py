@@ -155,7 +155,9 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     # rounding), so the gain rule's K L once and one bound; a boost scales
     # that bound, so the shipped 2^k K L is never decomposed; K L~ never goes
     # to eig (a static design's K L~ is the gain rule's K L), and its block
-    # B22 off the shape plane is Schur-decomposed once, for design and report
+    # B22 off the shape plane is Schur-decomposed once, for design and report.
+    # The one exception is L itself: the trial K = I takes its eigvals, and
+    # its eig only when the trial passes, for the eigenvectors it then ships
     from lapmaneuver import spectral
     from lapmaneuver.cli import build_report
 
@@ -168,7 +170,7 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
 
     def counted(fn):
         def wrapper(A):
-            seen.append(np.array(A))
+            seen.append((fn, np.array(A)))
             return fn(A)
         return wrapper
 
@@ -179,15 +181,21 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     build_report(sc, d)
 
-    def count(M):
-        return sum(A.shape == M.shape and np.abs(A - M).max() <= 1e-12 * np.abs(M).max()
-                   for A in seen)
+    def close(A, M):
+        return A.shape == M.shape and np.abs(A - M).max() <= 1e-12 * np.abs(M).max()
 
+    def count(M, by=(eig, eigvals)):
+        return sum(f in by and close(A, M) for f, A in seen)
+
+    L = d.bundle.L
+    passed = np.array_equal(d.bundle.gains / d.boost, np.ones(L.shape[0]))
+    assert passed == (name == "traveling_heading")
+    assert count(L, by=(eigvals,)) == 1 and count(L, by=(eig,)) == passed
     assert count(d.KL_tilde) == (d.motion.case == "static")
-    assert count(d.bundle.KL / d.boost) == 1
-    assert count(d.bundle.KL) == (d.boost == 1)
+    assert passed or count(d.bundle.KL / d.boost) == 1
+    assert count(d.bundle.KL) == (d.boost == 1) * (1 + passed)
     assert len(bounds) == 1
-    assert all(count(A) == 1 for A in seen)
+    assert all(count(A) == 1 for _, A in seen if not close(A, L))
     assert len(schurs) == 1 and np.array_equal(schurs[0], d.certificate.B[2:, 2:])
 
 
