@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -190,8 +192,11 @@ def main(argv=None) -> int:
         print(f"output collision: the run would write {shared[0]} twice; "
               "give each output its own name or run the files separately", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    try:  # made only if the run writes there; else refused only if no mkdir could make it
+        if written:
+            out.mkdir(parents=True, exist_ok=True)
+        elif not next((p for p in (out, *out.parents) if p.exists()), out).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
     except OSError as exc:
         print(f"parse error: --out {out} is not a usable directory ({exc.strerror})",
               file=sys.stderr)

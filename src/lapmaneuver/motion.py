@@ -14,6 +14,7 @@ steady-state case (`MotionMatrices.case`) from M~ B^T p* = c 1 + s p*:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -89,9 +90,9 @@ class MotionMatrices:
     uniform_coeff: complex
     shape_coeff: complex
 
-    @property
+    @cached_property
     def MBt(self) -> np.ndarray:
-        """The paper's M~ B^T, which is the Laplacian of mu~."""
+        """The paper's M~ B^T, which is the Laplacian of mu~, assembled once."""
         return laplacian(self.mu_tilde)
 
     @property

@@ -30,6 +30,7 @@ TOLERANCES = {
 }
 _WEIGHT_DRAWS = 20  # seeds tried before the rank check is given up
 _GAIN_STEPS = 500  # ascent steps in stabilize_gains, one eig of KL each
+_TRACE_REL = 1e-6  # Re tr L below -this x ||L||_F skips the K = I trial (far above rounding)
 
 
 @dataclass(frozen=True)
@@ -164,22 +165,32 @@ def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
     """Complex diagonal gains k with min Re of the non-kernel spectrum of KL
     at least gain_margin_rel * rho(L), and the eig of that KL; deterministic.
 
-    K = I when it passes, decided on eigenvalues alone and decomposed with
-    vectors only then. Otherwise start from k_i = 1/l_ii (1 where l_ii = 0),
-    a unit diagonal of KL, and ascend the soft-min of Re lambda_j / rho(KL)
-    over the non-kernel spectrum in log-gains, mean real part removed (a
-    uniform scaling leaves the objective alone). The gradient is
-    lambda_j (V^-1)_ji V_ij from the same eig (Burke, Lewis & Overton, Linear
-    Algebra Appl. 351-352, 2002). A step that does not raise the soft-min is halved; below
-    1e-2 it has stalled, and the temperature is quartered. The first iterate
-    that passes is returned with the eig of its KL = gains[:, None] * L, the
-    record stability_bound reads; else StabilizationFailed after _GAIN_STEPS.
+    K = I is tried first, on eigenvalues alone and decomposed with vectors
+    only if it passes, unless Re tr L < -_TRACE_REL ||L||_F rules it out: the
+    kernel pair adds nothing to tr L, so the non-kernel eigenvalues sum to
+    it and one has Re < 0. Otherwise start from k_i = 1/l_ii (1 where
+    l_ii = 0), a unit diagonal of KL, and ascend the soft-min of
+    Re lambda_j / rho(KL) over the non-kernel spectrum in log-gains, mean real
+    part removed (a uniform scaling leaves the objective alone). The gradient
+    is lambda_j (V^-1)_ji V_ij from the same eig (Burke, Lewis & Overton,
+    Linear Algebra Appl. 351-352, 2002). A step that does not raise the
+    soft-min is halved; below 1e-2 it has stalled, and the temperature is
+    quartered. The first iterate that passes is returned with the eig of its
+    KL = gains[:, None] * L, the record stability_bound reads; else
+    StabilizationFailed after _GAIN_STEPS. When K = I was skipped, rho(L) is
+    taken (eigvals(L), once) only for a trial whose min Re lands in
+    [0, 2 gain_margin_rel ||L||_inf): below it fails any margin, above it
+    passes, since rho(L) <= ||L||_inf.
     """
+    rel = TOLERANCES["gain_margin_rel"]
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
-    ev = np.linalg.eigvals(KL := k[:, None] * L)  # K = I, its vectors read only if it passes
-    margin = TOLERANCES["gain_margin_rel"] * np.abs(ev).max()
-    if ev[split_spectrum(ev)[2:]].real.min() >= margin:
-        return k, eigensystem(KL)
+    margin = None  # rel * rho(L)
+    if not np.trace(L).real < -_TRACE_REL * np.linalg.norm(L):
+        ev = np.linalg.eigvals(KL := k[:, None] * L)  # K = I, its vectors read only if it passes
+        margin = rel * np.abs(ev).max()
+        if ev[split_spectrum(ev)[2:]].real.min() >= margin:
+            return k, eigensystem(KL)
+    sure = 2 * rel * np.abs(L).sum(axis=1).max()  # a min Re at or above it passes
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
@@ -187,7 +198,10 @@ def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
         ev, V = np.linalg.eig(KL := trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
-        if lam.real.min() >= margin:
+        low = lam.real.min()
+        if margin is None and 0 <= low < sure:
+            margin = rel * np.abs(np.linalg.eigvals(L)).max()
+        if low >= (sure if margin is None else margin):
             return trial, Eigensystem(KL, ev, V)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)

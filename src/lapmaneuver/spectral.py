@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import zgees, ztrsyl
 
 from .errors import (ExpansionIllConditioned, NonDiagonalizable, NotTwoRooted,
                      PipelineFailed, SpectrumMismatch)
@@ -33,15 +34,16 @@ MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 @dataclass(frozen=True)
 class SplitCertificate:
     """K L~ in the shape-plane basis Q = [Q1 Q2] of `ReferenceShape.plane`:
-    B = Q^H (K L~) Q, the complex Schur form B22 = Z T Z^H of the block off
-    S, and X = Z^H P Z for the Lyapunov matrix P of B22^H P + P B22 = 2 I.
-    The residuals are relative to ||K L~||_F, Lyapunov's also to ||X||_F."""
+    B = Q^H (K L~) Q, the triangular T of the complex Schur form
+    B22 = Z T Z^H of the block off S, and X = Z^H P Z for the Lyapunov matrix
+    P of B22^H P + P B22 = 2 I. The Schur vectors Z are not kept; `schur_pair`
+    forms (T, Z) on first use. The residuals are relative to ||K L~||_F,
+    Lyapunov's also to ||X||_F."""
 
     matrix: np.ndarray  # K L~
     Q: np.ndarray
     B: np.ndarray
     T: np.ndarray
-    Z: np.ndarray
     split_residual: float  # ||B21||
     motion_residual: float  # ||B11 - R M R^-1||, M the 2 x 2 of (c, s)
     lyapunov_residual: float  # ||T^H X + X T - 2 I||
@@ -58,6 +60,24 @@ class SplitCertificate:
         Q1 starts with a multiple of 1 and K L~ 1 = 0) and of T."""
         return np.concatenate([np.diag(self.B)[:2], np.diag(self.T)])
 
+    @cached_property
+    def schur_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, Z) of B22 = Z T Z^H from one `schur` call, taken on first use;
+        its T has the bits of the certificate's."""
+        return schur(self.B[2:, 2:], output="complex")
+
+
+def _schur_triangle(A: np.ndarray) -> np.ndarray:
+    """T of the complex Schur form of A without Schur vectors: LAPACK zgees
+    with jobvs = 'N' and the workspace it asks for, as `schur` sizes it, so T
+    has the bits of schur(A, output="complex")[0]."""
+    A, unsorted = np.asarray_chkfinite(A), lambda _: None
+    lwork = int(zgees(unsorted, A, compute_v=0, lwork=-1)[-2][0].real)
+    T, *_, info = zgees(unsorted, A, compute_v=0, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
+    return T
+
 
 def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
                            spec: MotionSpec, shape: ReferenceShape) -> SplitCertificate:
@@ -67,24 +87,25 @@ def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
     With [1, p*] = Q1 R, K L~ [1, p*] = [1, p*] M for M = -kappa~ [[0, c], [0, s]],
     so B21 = 0 and B11 = R M R^-1 = -kappa~ [[0, (r11 c + r12 s) / r22], [0, s]]:
     exact algebra, no eigenvalue match.
-    T^H X + X T = 2 I is solved on the Schur form (ztrsyl, Bartels & Stewart,
-    CACM 15(9), 1972). Each residual is gated at tol = spectrum_rel, and P
-    must certify every B22 within tol ||K L~||_F: min eig(P) > 0 and
-    tol ||K L~||_F lambda_max(P) < 1. Else SpectrumMismatch names what failed.
+    T^H X + X T = 2 I is solved on the triangular Schur form T of B22, taken
+    without Schur vectors (ztrsyl, Bartels & Stewart, CACM 15(9), 1972).
+    Each residual is gated at tol = spectrum_rel, and P must certify every
+    B22 within tol ||K L~||_F: min eig(P) > 0 and tol ||K L~||_F
+    lambda_max(P) < 1. Else SpectrumMismatch names what failed.
     """
     Q, R = shape.plane
     B = Q.conj().T @ KL_tilde @ Q
     c, s = motion.uniform_coeff, motion.shape_coeff
     predicted = -spec.kappa_tilde * np.array([[0, (R[0, 0] * c + R[0, 1] * s) / R[1, 1]], [0, s]])
     norm, two = np.linalg.norm(B), 2.0 * np.eye(shape.n - 2)
-    T, Z = schur(B[2:, 2:], output="complex")
+    T = _schur_triangle(B[2:, 2:])
     # info 1 (a mode of B22 on the imaginary axis) solves with T perturbed
     # by rounding, and the margin on P below refuses that solution
     X, scale, _ = ztrsyl(T, T, two, trana="C")
     X = X / scale
     lo, hi = np.linalg.eigvalsh(X)[[0, -1]]
     cert = SplitCertificate(
-        KL_tilde, Q, B, T, Z,
+        KL_tilde, Q, B, T,
         split_residual=float(np.linalg.norm(B[2:, :2]) / norm),
         motion_residual=float(np.linalg.norm(B[:2, :2] - predicted) / norm),
         lyapunov_residual=float(np.linalg.norm(T.conj().T @ X + X @ T - two)
@@ -176,8 +197,9 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
     certificate's split: with x = Q^H p(0) and B11 Y - Y B22 = -B12,
     z = x1 - Y x2 follows z' = -B11 z while x2 decays, so Q1 z is p(0)
     projected on S along the rest, and (c1, c2) its coordinates in
-    [1, basis_shape]. The equation is solved on T (ztrsyl), which fails
-    only if the moving mode -kappa~ s is an eigenvalue off S."""
+    [1, basis_shape]. The equation is solved on T (ztrsyl) of the
+    certificate's `schur_pair`, the one place that forms the Schur vectors Z;
+    it fails only if the moving mode -kappa~ s is an eigenvalue off S."""
     cert, motion, spec, shape = design.certificate, design.motion, design.spec, design.shape
     basis_shape, rate = shape.p_star, 0j
     if motion.case == "moving":  # eigenvector (c/s) 1 + p* of -kappa~ s
@@ -187,7 +209,7 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
         # the chain K L~ p* = -kappa~ c 1 taken analytically; -p* gives c2 the
         # published sign, velocity = -c2 kappa~ c
         basis_shape = -shape.p_star
-    B, T, Z = cert.B, cert.T, cert.Z
+    B, (T, Z) = cert.B, cert.schur_pair
     W, scale, info = ztrsyl(B[:2, :2], T, -B[:2, 2:] @ Z, isgn=-1)  # W = Y Z
     if info:
         gap = np.abs(np.diag(B)[:2, None] - np.diag(T))
@@ -207,7 +229,8 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
 class DesignResult:
     """Everything the end-to-end design produces; `certificate` is the
     shape-plane split of K L~ that stage verify certified, the one
-    decomposition of K L~, which the prediction and the report read."""
+    decomposition of K L~, which the prediction and the report read (the
+    prediction adds the Schur vectors of its block B22)."""
 
     graph: FormationGraph
     shape: ReferenceShape

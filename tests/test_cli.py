@@ -154,6 +154,15 @@ def test_out_not_a_directory_exit_2(tmp_path, capsys, below):
     assert {f.name for f in tmp_path.iterdir()} == {"scenario.json", "taken"}
 
 
+def test_verify_leaves_a_missing_out_uncreated(tmp_path, capsys):
+    # verify writes nothing, so it makes no --out directory
+    path = _write(tmp_path, "enclosing")
+    out = tmp_path / "missing" / "out"
+    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("PASS shape-plane-split")
+    assert {f.name for f in tmp_path.iterdir()} == {"scenario.json"}
+
+
 def test_degenerate_shape_exit_2(tmp_path, capsys):
     # five coincident points: a parse error, not a DegenerateShape traceback
     path = _write(tmp_path, "enclosing", {"shape": [[1, 1]] * 5})

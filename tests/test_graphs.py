@@ -3,12 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, TwoRootedReport,
                          center_shape, design_pipeline, is_connected, is_two_rooted)
 
-from conftest import random_instance
+from conftest import block_graphs, random_instance
 
 
 def brute_force_two_rooted(g: FormationGraph):
@@ -194,43 +193,6 @@ def test_two_rooted_matches_per_deletion_on_random_graphs():
     # every verdict is exercised: disconnected, a node leaving three parts,
     # branching blocks, and a certificate
     assert verdicts == {"graph", "deleting", "no", "certified"}
-
-
-@st.composite
-def block_graphs(draw):
-    """Blocks (cycles and cliques) joined at cut vertices into a chain, each
-    block leaving by another node than it entered by, and the verdict the
-    block structure implies. A chain is 2-rooted (one root among the free
-    nodes of each end block); a defect makes it not: a block joined at a cut
-    vertex, which then separates three parts, or a pendant node hung from a
-    node that is not a free node of an end block. Labels are shuffled."""
-    edges, blocks, size = [], [], 0
-    for k in range(draw(st.integers(1, 3))):
-        kind, m = draw(st.sampled_from(["cycle", "clique"])), draw(st.integers(2, 4))
-        if kind == "cycle":
-            m = max(m, 3)
-        entry = [draw(st.sampled_from(blocks[-1][1:]))] if blocks else []
-        block = entry + list(range(size, size + m - len(entry)))
-        size += m - len(entry)
-        pairs = (zip(block, block[1:] + block[:1]) if kind == "cycle"
-                 else combinations(block, 2))
-        edges += [tuple(p) for p in pairs]
-        blocks.append(block)
-    cuts = [b[0] for b in blocks[1:]]
-    defects = ["none"] + (["shared block", "pendant"] if cuts else [])
-    defect = draw(st.sampled_from(defects))
-    if defect == "shared block":
-        c = draw(st.sampled_from(cuts))
-        edges += [(c, size), (size, size + 1), (size + 1, c)]
-        size += 2
-    elif defect == "pendant":
-        end_free = {v for b in (blocks[0], blocks[-1]) for v in b if v not in cuts}
-        hub = draw(st.sampled_from(sorted(set(range(size)) - end_free)))
-        edges.append((hub, size))
-        size += 1
-    label = draw(st.permutations(range(1, size + 1)))
-    g = FormationGraph(size, tuple((label[i], label[j]) for i, j in edges))
-    return g, defect == "none"
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (DegenerateShape, FormationGraph, InfeasibleRow,
-                         ReferenceShape, center_shape, laplacian,
-                         stabilize_gains, synthesize_weights)
-from lapmaneuver.shapes import TOLERANCES, _draw_weights, split_spectrum
+                         ReferenceShape, StabilizationFailed, center_shape,
+                         laplacian, stabilize_gains, synthesize_weights)
+from lapmaneuver.shapes import (_GAIN_STEPS, TOLERANCES, Eigensystem, _draw_weights,
+                                eigensystem, split_spectrum)
 
 from conftest import (decagon_graph, decagon_shape, random_instance, ring_chord,
                       square_graph, square_shape)
@@ -205,11 +208,15 @@ def test_gains_noop_when_already_stable():
     assert np.array_equal(stabilize_gains(L)[0], np.ones(4))
 
 
-def test_zero_laplacian_diagonal_starts_from_a_unit_gain():
-    # node 1's two neighbors share a reference position, so l_11 = 0 and
-    # the closed form 1/l_ii has no value there
+def _zero_diagonal_instance():
+    """Node 1's two neighbors share a reference position, so l_11 = 0."""
     g = FormationGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 4), (3, 5)))
-    shape = center_shape([0, 1, 2 + 1j, 1 + 2j, 1])
+    return g, center_shape([0, 1, 2 + 1j, 1 + 2j, 1])
+
+
+def test_zero_laplacian_diagonal_starts_from_a_unit_gain():
+    # the closed form 1/l_ii has no value at node 1
+    g, shape = _zero_diagonal_instance()
     L = laplacian(synthesize_weights(g, shape, seed=0))
     assert L[0, 0] == 0
     gains, _ = stabilize_gains(L)
@@ -255,3 +262,114 @@ def test_gains_are_deterministic_with_a_real_margin_property(instance, seed):
     ev = np.linalg.eig(gains[:, None] * L)[0]  # the product stabilize_gains decomposes
     margin = TOLERANCES["gain_margin_rel"] * np.abs(np.linalg.eig(L)[0]).max()
     assert ev[split_spectrum(ev)[2:]].real.min() >= margin
+
+
+def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
+    """The gain rule with the K = I trial on every L and rho(L) taken up
+    front from its eigvals: the same ascent without the trace and norm screens."""
+    k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
+    ev = np.linalg.eigvals(KL := k[:, None] * L)
+    margin = TOLERANCES["gain_margin_rel"] * np.abs(ev).max()
+    if ev[split_spectrum(ev)[2:]].real.min() >= margin:
+        return k, eigensystem(KL)
+    k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
+    soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
+    for _ in range(_GAIN_STEPS + 1):
+        trial = k if d is None else k * np.exp(t * d)
+        ev, V = np.linalg.eig(KL := trial[:, None] * L)
+        rest = split_spectrum(ev)[2:]
+        lam, rho = ev[rest], np.abs(ev).max()
+        if lam.real.min() >= margin:
+            return trial, Eigensystem(KL, ev, V)
+        if d is None or soft_min(lam.real / rho) > soft_min(x):
+            k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
+            grad = (lam[:, None] * np.linalg.inv(V)[rest] * V.T[rest]).conj()
+        else:
+            t /= 2
+            if t < 1e-2:
+                tau, t = tau / 4, 1.0
+        d = np.exp((x.min() - x) / tau) @ grad
+        d -= d.real.mean()
+        d /= np.abs(d).max()
+    raise StabilizationFailed(f"no stabilizing gains within {_GAIN_STEPS} ascent steps "
+                              f"(best min Re lambda / rho(KL) {x.min():.3e})")
+
+
+def _band_scalings(L: np.ndarray) -> list:
+    """c L (the weights times c) for the two c that leave the first ascent
+    trial K = diag(1/l_ii), unchanged by a scalar c, with min Re lambda at
+    1/1.1 and 1/0.9 of gain_margin_rel * rho(c L): inside
+    [0, 2 gain_margin_rel ||c L||_inf), the band that needs rho, passing and
+    failing. The phase of c makes Re tr(c L) < 0, which skips K = I. None
+    where that trial's min Re lambda is not positive, or where some l_ii = 0
+    (its gain is then 1, and the trial scales with c)."""
+    ev = np.linalg.eigvals((1 / np.where(np.diag(L) == 0, 1, np.diag(L)))[:, None] * L)
+    low, tr = ev[split_spectrum(ev)[2:]].real.min(), np.trace(L)
+    if not (low > 0 and abs(tr) > 1e-3 * np.linalg.norm(L)) or np.any(np.diag(L) == 0):
+        return []
+    rho = np.abs(np.linalg.eigvals(L)).max()
+    return [-tr.conjugate() / abs(tr) * low / (f * TOLERANCES["gain_margin_rel"] * rho) * L
+            for f in (1.1, 0.9)]
+
+
+def _assert_gains_match_the_reference(L: np.ndarray) -> None:
+    try:
+        expected = reference_stabilize_gains(L)
+    except StabilizationFailed as exc:
+        with pytest.raises(StabilizationFailed, match=f"^{re.escape(str(exc))}$"):
+            stabilize_gains(L)
+        return
+    gains, es = stabilize_gains(L)
+    assert np.array_equal(gains, expected[0])
+    for field in ("matrix", "values", "vectors"):
+        assert np.array_equal(getattr(es, field), getattr(expected[1], field))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_INSTANCES, st.integers(0, 3))
+@example(random_instance(4, 0), 0)  # K = I passes
+@example(random_instance(4, 3), 0)  # Re tr L < 0 skips K = I
+@example(random_instance(4, 5), 1)  # K = I tried and refused
+@example(random_instance(11, 107), 0)  # no gains within the step budget
+@example(_zero_diagonal_instance(), 0)
+def test_gains_match_the_reference_rule_property(instance, seed):
+    # bit for bit, on L and on the scalings of L whose first trial needs rho(L)
+    g, shape = instance
+    L = laplacian(synthesize_weights(g, shape, seed=seed))
+    for A in [L, *_band_scalings(L)]:
+        _assert_gains_match_the_reference(A)
+
+
+def test_gain_rule_takes_rho_only_where_a_trial_needs_it(monkeypatch):
+    # the order of eig and eigvals calls tells the paths apart: K = I tried
+    # (eigvals first), skipped (eig only), or a trial in the band (eig, then
+    # one eigvals of L for rho)
+    calls = []
+    for name in ("eig", "eigvals"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda A, fn=fn, name=name:
+                            calls.append((name, np.array(A))) or fn(A))
+
+    def L_of(instance, seed):
+        return laplacian(synthesize_weights(*instance, seed=seed))
+
+    paths = set()
+    for A in (L_of(random_instance(4, 0), 0), L_of(random_instance(4, 3), 0),
+              L_of(random_instance(4, 5), 1), L_of(_zero_diagonal_instance(), 0),
+              *_band_scalings(L_of(random_instance(6, 0), 0))):
+        calls.clear()
+        gains, _ = stabilize_gains(A)
+        names = [name for name, _ in calls]
+        rho_of_A = [name for name, M in calls if name == "eigvals" and np.array_equal(M, A)]
+        assert names.count("eigvals") == len(rho_of_A) <= 1
+        if names[0] == "eigvals":
+            passed = np.array_equal(gains, np.ones(A.shape[0]))
+            paths.add("K = I passes" if passed else "K = I refused")
+        elif rho_of_A:
+            paths.add("band, passes" if len(calls) == 2 else "band, refused")
+        else:
+            assert np.trace(A).real < 0
+            paths.add("K = I skipped")
+        _assert_gains_match_the_reference(A)
+    assert paths == {"K = I passes", "K = I refused", "K = I skipped",
+                     "band, passes", "band, refused"}

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
+from scipy.linalg.lapack import zgees
 from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, Eigensystem, ExpansionIllConditioned,
-                         FormationGraph, MotionSpec, PipelineFailed, ReferenceShape,
+                         FormationGraph, MotionSpec, NotTwoRooted, PipelineFailed,
+                         ReferenceShape,
                          SplitCertificate, builtin_scenario, center_shape,
                          design_pipeline, exact_trajectory, predict_steady_state,
                          scenario_from_dict, shape_error, stability_bound)
@@ -19,7 +21,8 @@ from lapmaneuver.cli import main
 from lapmaneuver.shapes import TOLERANCES, eigensystem, split_spectrum
 from lapmaneuver.spectral import MAX_BOOSTS
 
-from conftest import random_instance, ring_chord, square_graph, square_shape
+from conftest import (block_graphs, random_instance, ring_chord, square_graph,
+                      square_shape)
 
 
 def _design(spec, g=None, shape=None, seed=0):
@@ -155,18 +158,26 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     # rounding), so the gain rule's K L once and one bound; a boost scales
     # that bound, so the shipped 2^k K L is never decomposed; K L~ never goes
     # to eig (a static design's K L~ is the gain rule's K L), and its block
-    # B22 off the shape plane is Schur-decomposed once, for design and report.
+    # B22 off the shape plane goes once to zgees without Schur vectors (the
+    # design) and once to schur for T and Z (the report's prediction).
     # The one exception is L itself: the trial K = I takes its eigvals, and
     # its eig only when the trial passes, for the eigenvectors it then ships
     from lapmaneuver import spectral
     from lapmaneuver.cli import build_report
 
-    seen, bounds, schurs = [], [], []
+    seen, bounds, schurs, triangles = [], [], [], []
     eig, eigvals = np.linalg.eig, np.linalg.eigvals
     monkeypatch.setattr(spectral, "stability_bound",
                         lambda *args: bounds.append(args) or stability_bound(*args))
     monkeypatch.setattr(spectral, "schur", lambda A, **kw: schurs.append(np.array(A))
                         or scipy.linalg.schur(A, **kw))
+
+    def triangle(sort, A, **kw):  # the workspace query (lwork -1) aside
+        if kw["lwork"] != -1:
+            triangles.append((np.array(A), kw["compute_v"]))
+        return zgees(sort, A, **kw)
+
+    monkeypatch.setattr(spectral, "zgees", triangle)
 
     def counted(fn):
         def wrapper(A):
@@ -197,6 +208,8 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     assert len(bounds) == 1
     assert all(count(A) == 1 for _, A in seen if not close(A, L))
     assert len(schurs) == 1 and np.array_equal(schurs[0], d.certificate.B[2:, 2:])
+    assert len(triangles) == 1 and np.array_equal(triangles[0][0], d.certificate.B[2:, 2:])
+    assert triangles[0][1] == 0
 
 
 # centroid or agent center, each of v*, omega and a zero or not, where
@@ -403,18 +416,19 @@ def test_shape_error_settles_within_the_lyapunov_bound(name):
     assert x2[-1] < 1e-6 * x2[0]  # the runs settle, so the bound is not vacuous
 
 
-def test_a_moving_mode_inside_the_rest_of_the_spectrum_is_refused():
+def test_a_moving_mode_inside_the_rest_of_the_spectrum_is_refused(monkeypatch):
     # Re(-kappa~ s) > 0 (a shrinking formation) puts the moving mode among
     # the decaying ones; where it equals one, p(0) has no unique split
     sc = scenario_from_dict(builtin_scenario("shaped_consensus_inward"))
     d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     c = d.certificate
     assert (-sc.spec.kappa_tilde * d.motion.shape_coeff).real > 0
-    T = c.T.copy()
+    T, Z = c.schur_pair  # the pair predict_steady_state reads
+    T = T.copy()
     T[3, 3] = c.B[1, 1]
-    hit = dataclasses.replace(d, certificate=dataclasses.replace(c, T=T))
+    monkeypatch.setattr(SplitCertificate, "schur_pair", property(lambda self: (T, Z)))
     with pytest.raises(ExpansionIllConditioned, match=f"eigenvalue {c.B[1, 1]:.4g} of K L~"):
-        predict_steady_state(sc.shape.p_star, hit)
+        predict_steady_state(sc.shape.p_star, d)
 
 
 @pytest.mark.parametrize("key, value, stage", [("spectrum_rel", 1e-30, "verify"),
@@ -561,10 +575,10 @@ _STAGES = ("weights", "gains", "motion", "stability", "modified", "verify")
 
 @st.composite
 def _ear_instances(draw):
-    """A 2-connected graph (n <= 16) by open ear decomposition: a cycle, then
+    """A 2-connected graph (n <= 32) by open ear decomposition: a cycle, then
     ears, each a path of new nodes between two distinct earlier nodes, then
     random chords; labels are shuffled and the shape is uniform at random."""
-    n = draw(st.integers(4, 16))
+    n = draw(st.integers(4, 32))
     size = draw(st.integers(3, n))
     edges = [(k, k % size + 1) for k in range(1, size + 1)]
     while size < n:
@@ -620,6 +634,34 @@ def test_ear_graphs_design_or_fail_at_a_stage_property(instance, spec, seed):
     except PipelineFailed as exc:
         assert exc.stage in _STAGES
         return
+    _assert_design_holds(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_graphs(), st.sampled_from(_MOTIONS), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_block_graphs_design_or_fail_at_a_stage_property(case, spec, seed, shape_seed):
+    # blocks joined at cut vertices, 2-rooted chains or not: every draw is
+    # certified, or refused at a named stage (a graph that is not 2-rooted
+    # at the first, by the check that says so)
+    g, chain = case
+    rng = np.random.default_rng(shape_seed)
+    shape = center_shape(rng.uniform(-1, 1, g.n) + 1j * rng.uniform(-1, 1, g.n))
+    try:
+        d = design_pipeline(g, shape, spec, seed=seed)
+    except PipelineFailed as exc:
+        assert exc.stage in _STAGES
+        assert chain or (exc.stage == "weights" and isinstance(exc.cause, NotTwoRooted))
+        return
+    assert chain
+    _assert_design_holds(d)
+
+
+def _assert_design_holds(d):
+    """Checks of a design made apart from the pipeline: kernel of L, the
+    images of 1 and p* under K L~, the moving eigenvalue, the certificate
+    against an independent Lyapunov solve, and the bound's scaling."""
+    g, shape, spec = d.graph, d.shape, d.spec
     L = d.bundle.L
     for v in (np.ones(g.n), shape.p_star):
         assert np.abs(L @ v).max() <= 1e-10 * np.abs(L).max() * np.abs(v).max()
