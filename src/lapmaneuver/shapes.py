@@ -20,15 +20,14 @@ from .graphs import FormationGraph
 # Every threshold that decides pass/fail, read at its use site and written
 # to report.json as is. Each is relative to the scale named beside it.
 TOLERANCES = {
-    "kernel_sv_rel": 1e-10,  # rank check: sigma_{n-1} below, x sigma_1
-    "rank_gap_sv_rel": 1e-6,  # rank check: sigma_{n-2} above, x sigma_1
+    "kernel_sv_rel": 1e-10,  # rank check: sigma_{n-1} below, x sigma_1 (rows at unit max)
+    "rank_gap_sv_rel": 1e-6,  # rank check: sigma_{n-2} above, x sigma_1 (rows at unit max)
     "center_rel": 1e-12,  # |sum p*|, x n max|p*|
-    "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(L)
+    "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(KL)
     "assembly_rel": 1e-12,  # L~ by matrix formula vs by modified weights
     "spectrum_rel": 1e-8,  # verify's residuals, x ||K L~||_F; RK4 pre-flight, clusters, x rho
     "cond_limit": 1e8,  # condition number of an eigenbasis (absolute)
 }
-_WEIGHT_DRAWS = 20  # seeds tried before the rank check is given up
 _GAIN_STEPS = 500  # ascent steps in stabilize_gains, one eig of KL each
 _TRACE_REL = 1e-6  # Re tr L below -this x ||L||_F skips the K = I trial (far above rounding)
 
@@ -83,18 +82,16 @@ def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
     """Choose weights so each row of L annihilates both 1 and p*.
 
     Two-neighbor rows use the closed form (w_ij, w_ik) = (z*_ik, -z*_ij);
-    larger rows draw a seeded random element of the row null space. The
-    global rank n-2 condition is verified afterwards and the random rows are
-    re-drawn from the next seed on failure, up to _WEIGHT_DRAWS seeds.
+    larger rows draw a random element of the row null space from
+    default_rng(seed). The global rank n-2 condition is verified afterwards,
+    once: DegenerateWeights if it fails.
     """
     if shape.n != g.n:
         raise ValueError("shape size does not match graph")
-    for attempt in range(_WEIGHT_DRAWS):
-        W = _draw_weights(g, shape, np.random.default_rng(seed + attempt))
-        if kernel_rank_ok(laplacian(W)):
-            return W
-    raise DegenerateWeights(
-        f"Laplacian rank check failed after {_WEIGHT_DRAWS} seeds")
+    W = _draw_weights(g, shape, np.random.default_rng(seed))
+    if not kernel_rank_ok(laplacian(W)):
+        raise DegenerateWeights(f"Laplacian rank check failed with design seed {seed}")
+    return W
 
 
 def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
@@ -136,8 +133,10 @@ def laplacian(W: np.ndarray) -> np.ndarray:
 
 
 def kernel_rank_ok(L: np.ndarray) -> bool:
-    """Rank n-2: a two-dimensional null space separated by a singular-value gap."""
-    s = np.linalg.svd(L, compute_uv=False)
+    """Rank n-2 of L with its rows at unit max (a closed-form row carries the
+    shape's scale, which the kernel does not see): a two-dimensional null
+    space separated by a singular-value gap."""
+    s = np.linalg.svd(L / np.abs(L).max(axis=1, keepdims=True), compute_uv=False)
     return bool(s[-2] < TOLERANCES["kernel_sv_rel"] * s[0]
                 and s[-3] > TOLERANCES["rank_gap_sv_rel"] * s[0])
 
@@ -163,7 +162,9 @@ def split_spectrum(ev: np.ndarray) -> np.ndarray:
 
 def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
     """Complex diagonal gains k with min Re of the non-kernel spectrum of KL
-    at least gain_margin_rel * rho(L), and the eig of that KL; deterministic.
+    at least gain_margin_rel * rho(KL), and the eig of that KL; deterministic.
+    Both sides come from the trial's own eigenvalues, so a scaling of KL, such
+    as a larger reference shape makes, leaves a trial's verdict alone.
 
     K = I is tried first, on eigenvalues alone and decomposed with vectors
     only if it passes, unless Re tr L < -_TRACE_REL ||L||_F rules it out: the
@@ -177,20 +178,14 @@ def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
     soft-min is halved; below 1e-2 it has stalled, and the temperature is
     quartered. The first iterate that passes is returned with the eig of its
     KL = gains[:, None] * L, the record stability_bound reads; else
-    StabilizationFailed after _GAIN_STEPS. When K = I was skipped, rho(L) is
-    taken (eigvals(L), once) only for a trial whose min Re lands in
-    [0, 2 gain_margin_rel ||L||_inf): below it fails any margin, above it
-    passes, since rho(L) <= ||L||_inf.
+    StabilizationFailed after _GAIN_STEPS.
     """
     rel = TOLERANCES["gain_margin_rel"]
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
-    margin = None  # rel * rho(L)
     if not np.trace(L).real < -_TRACE_REL * np.linalg.norm(L):
         ev = np.linalg.eigvals(KL := k[:, None] * L)  # K = I, its vectors read only if it passes
-        margin = rel * np.abs(ev).max()
-        if ev[split_spectrum(ev)[2:]].real.min() >= margin:
+        if ev[split_spectrum(ev)[2:]].real.min() >= rel * np.abs(ev).max():
             return k, eigensystem(KL)
-    sure = 2 * rel * np.abs(L).sum(axis=1).max()  # a min Re at or above it passes
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
@@ -198,10 +193,7 @@ def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
         ev, V = np.linalg.eig(KL := trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
-        low = lam.real.min()
-        if margin is None and 0 <= low < sure:
-            margin = rel * np.abs(np.linalg.eigvals(L)).max()
-        if low >= (sure if margin is None else margin):
+        if lam.real.min() >= rel * rho:
             return trial, Eigensystem(KL, ev, V)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)

@@ -139,10 +139,13 @@ def stability_bound(es: Eigensystem, MBt: np.ndarray,
     K L~ in the right-half plane, from the eig `es` of KL and MBt = M~ B^T
     (`MotionMatrices.MBt`); no eig of its own.
 
-    T has columns [1, p*, non-kernel eigenvectors of KL], so T^-1 (KL) T is
-    block diagonal with a zero 2x2 leading block and a diagonal J2. With
-    Q = diag(1/Re(lambda)) the Lyapunov identity Q J2 + J2^H Q = 2 I holds
-    exactly and the bound is 1 / ||Q (T^-1 M~ B^T T)_(trailing block)||_2.
+    T has columns [1, 2^-e p*, non-kernel eigenvectors of KL], so T^-1 (KL) T
+    is block diagonal with a zero 2x2 leading block and a diagonal J2. The
+    p* column is brought to the unit scale of the others, 2^(e-1) <= max|p*|
+    < 2^e, for cond(T); a power of two is exact, so the trailing block below
+    does not depend on it. With Q = diag(1/Re(lambda)) the Lyapunov identity
+    Q J2 + J2^H Q = 2 I holds exactly and the bound is
+    1 / ||Q (T^-1 M~ B^T T)_(trailing block)||_2.
     The eigenvectors of a cluster (eigenvalues within spectrum_rel * rho) are
     orthonormalized; Q is constant on it, so the bound is free of eig's basis.
     Scaling K by h scales Q by 1/h and leaves T^-1 M~ B^T T alone, so the
@@ -154,7 +157,8 @@ def stability_bound(es: Eigensystem, MBt: np.ndarray,
     close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(ev).max()
     for c in {tuple(np.flatnonzero(row)) for row in close if row.sum() > 1}:
         W[:, c] = np.linalg.qr(W[:, c])[0]
-    T = np.column_stack([np.ones(ev.size, dtype=complex), shape.p_star, W])
+    unit_p = shape.p_star * 2.0 ** -math.frexp(shape.radius())[1]
+    T = np.column_stack([np.ones(ev.size, dtype=complex), unit_p, W])
     cond = np.linalg.cond(T)
     if cond > TOLERANCES["cond_limit"]:
         raise NonDiagonalizable(

@@ -1,10 +1,10 @@
 """The package names the benchmark under `bench/` reads.
 
 Its tracer binds the `cfg` and `path` arguments by name, times the verify
-function and counts design_pipeline's boost; its checks read the
-design's Laplacian, gains and L~ and a failure's stage; its workloads load
-scenario files and documents, design from a scenario's fields and read a
-simulated trajectory. A rename there breaks the benchmark rather than the
+function and each per-layer stage by name, and counts design_pipeline's
+boost; its checks read the design's Laplacian, gains and L~ and a failure's
+stage; its workloads load scenario files and documents, design from a
+scenario's fields and read a simulated trajectory. A rename there breaks the benchmark rather than the
 package, so the surface is pinned here.
 """
 
@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 
 from lapmaneuver import (MotionSpec, PipelineFailed, builtin_scenario, cli, design_pipeline,
-                         scenarios, sim, spectral)
+                         motion, scenarios, shapes, sim, spectral)
 
 
 def _public_function(module, name):
@@ -41,6 +41,12 @@ def test_traced_functions_and_parameters():
         assert arg in inspect.signature(getattr(module, name)).parameters
     for name in ("design_pipeline", "verify_motion_spectrum"):
         assert _public_function(spectral, name)
+    # the per-layer metrics read these by name; a rename would zero one
+    for module, name in ((shapes, "synthesize_weights"), (shapes, "stabilize_gains"),
+                         (spectral, "stability_bound"), (motion, "compile_motion"),
+                         (motion, "modified_laplacian"), (scenarios, "load_scenario"),
+                         (cli, "build_report"), (cli, "write_report")):
+        assert _public_function(module, name)
 
 
 def test_scenario_functions_and_fields():

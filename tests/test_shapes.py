@@ -6,9 +6,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lapmaneuver import (DegenerateShape, FormationGraph, InfeasibleRow,
+from lapmaneuver import (DegenerateShape, DegenerateWeights, FormationGraph, InfeasibleRow,
                          ReferenceShape, StabilizationFailed, center_shape,
-                         laplacian, stabilize_gains, synthesize_weights)
+                         laplacian, shapes, stabilize_gains, synthesize_weights)
 from lapmaneuver.shapes import (_GAIN_STEPS, TOLERANCES, Eigensystem, _draw_weights,
                                 eigensystem, split_spectrum)
 
@@ -154,6 +154,19 @@ def test_first_bad_row_is_reported_as_by_the_per_node_draw(defect):
             _draw_weights(g, shape, np.random.default_rng(0))
 
 
+def test_a_rank_deficient_laplacian_is_refused_after_one_draw(monkeypatch):
+    # two disjoint triangles: every row takes the closed form, so any draw
+    # gives L a four-dimensional kernel; the seed is drawn from once
+    g = FormationGraph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)))
+    shape = center_shape([0, 1, 1j, 3, 4, 3 + 1j])
+    draws = []
+    monkeypatch.setattr(shapes, "_draw_weights",
+                        lambda *args: draws.append(args) or _draw_weights(*args))
+    with pytest.raises(DegenerateWeights, match="design seed 7$"):
+        synthesize_weights(g, shape, seed=7)
+    assert len(draws) == 1
+
+
 def test_build_laplacian_two_nodes():
     w = np.array([[0, 2 + 1j], [2 + 1j, 0]])
     L = laplacian(w)
@@ -252,25 +265,29 @@ _INSTANCES = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(_INSTANCES, st.integers(0, 3))
-@example(random_instance(11, 249428333), 3)  # sticks if the start temperature is 0.01
-def test_gains_are_deterministic_with_a_real_margin_property(instance, seed):
+@given(_INSTANCES, st.integers(0, 3), st.sampled_from([1.0, 1e6, 1e9]))
+@example(random_instance(11, 249428333), 3, 1.0)  # sticks if the start temperature is 0.01
+@example(random_instance(6, 0), 0, 1e6)  # refused while the margin was relative to rho(L)
+@example(random_instance(8, 0), 0, 1e6)  # refused while the rank check kept the rows' units
+def test_gains_are_deterministic_with_a_real_margin_property(instance, seed, scale):
+    # the shape's scale is a unit: two-neighbor weights scale with it, the
+    # margin relative to rho(KL) does not
     g, shape = instance
-    L = laplacian(synthesize_weights(g, shape, seed=seed))
+    L = laplacian(synthesize_weights(g, ReferenceShape(scale * shape.p_star), seed=seed))
     gains, _ = stabilize_gains(L)
     assert np.array_equal(gains, stabilize_gains(L)[0])
     ev = np.linalg.eig(gains[:, None] * L)[0]  # the product stabilize_gains decomposes
-    margin = TOLERANCES["gain_margin_rel"] * np.abs(np.linalg.eig(L)[0]).max()
+    margin = TOLERANCES["gain_margin_rel"] * np.abs(ev).max()
     assert ev[split_spectrum(ev)[2:]].real.min() >= margin
 
 
 def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
-    """The gain rule with the K = I trial on every L and rho(L) taken up
-    front from its eigvals: the same ascent without the trace and norm screens."""
+    """The gain rule with the K = I trial on every L: the same trials and
+    ascent without the trace screen."""
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
+    rel = TOLERANCES["gain_margin_rel"]
     ev = np.linalg.eigvals(KL := k[:, None] * L)
-    margin = TOLERANCES["gain_margin_rel"] * np.abs(ev).max()
-    if ev[split_spectrum(ev)[2:]].real.min() >= margin:
+    if ev[split_spectrum(ev)[2:]].real.min() >= rel * np.abs(ev).max():
         return k, eigensystem(KL)
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
@@ -279,7 +296,7 @@ def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
         ev, V = np.linalg.eig(KL := trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
-        if lam.real.min() >= margin:
+        if lam.real.min() >= rel * rho:
             return trial, Eigensystem(KL, ev, V)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
@@ -293,23 +310,6 @@ def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
         d /= np.abs(d).max()
     raise StabilizationFailed(f"no stabilizing gains within {_GAIN_STEPS} ascent steps "
                               f"(best min Re lambda / rho(KL) {x.min():.3e})")
-
-
-def _band_scalings(L: np.ndarray) -> list:
-    """c L (the weights times c) for the two c that leave the first ascent
-    trial K = diag(1/l_ii), unchanged by a scalar c, with min Re lambda at
-    1/1.1 and 1/0.9 of gain_margin_rel * rho(c L): inside
-    [0, 2 gain_margin_rel ||c L||_inf), the band that needs rho, passing and
-    failing. The phase of c makes Re tr(c L) < 0, which skips K = I. None
-    where that trial's min Re lambda is not positive, or where some l_ii = 0
-    (its gain is then 1, and the trial scales with c)."""
-    ev = np.linalg.eigvals((1 / np.where(np.diag(L) == 0, 1, np.diag(L)))[:, None] * L)
-    low, tr = ev[split_spectrum(ev)[2:]].real.min(), np.trace(L)
-    if not (low > 0 and abs(tr) > 1e-3 * np.linalg.norm(L)) or np.any(np.diag(L) == 0):
-        return []
-    rho = np.abs(np.linalg.eigvals(L)).max()
-    return [-tr.conjugate() / abs(tr) * low / (f * TOLERANCES["gain_margin_rel"] * rho) * L
-            for f in (1.1, 0.9)]
 
 
 def _assert_gains_match_the_reference(L: np.ndarray) -> None:
@@ -333,17 +333,14 @@ def _assert_gains_match_the_reference(L: np.ndarray) -> None:
 @example(random_instance(11, 107), 0)  # no gains within the step budget
 @example(_zero_diagonal_instance(), 0)
 def test_gains_match_the_reference_rule_property(instance, seed):
-    # bit for bit, on L and on the scalings of L whose first trial needs rho(L)
     g, shape = instance
-    L = laplacian(synthesize_weights(g, shape, seed=seed))
-    for A in [L, *_band_scalings(L)]:
-        _assert_gains_match_the_reference(A)
+    _assert_gains_match_the_reference(laplacian(synthesize_weights(g, shape, seed=seed)))
 
 
 def test_gain_rule_takes_rho_only_where_a_trial_needs_it(monkeypatch):
-    # the order of eig and eigvals calls tells the paths apart: K = I tried
-    # (eigvals first), skipped (eig only), or a trial in the band (eig, then
-    # one eigvals of L for rho)
+    # rho(KL) comes from each trial's own decomposition: K = I tried takes
+    # the eigvals of L first (and its eig only if it passes), skipped makes
+    # no eigvals call at all
     calls = []
     for name in ("eig", "eigvals"):
         fn = getattr(np.linalg, name)
@@ -355,21 +352,16 @@ def test_gain_rule_takes_rho_only_where_a_trial_needs_it(monkeypatch):
 
     paths = set()
     for A in (L_of(random_instance(4, 0), 0), L_of(random_instance(4, 3), 0),
-              L_of(random_instance(4, 5), 1), L_of(_zero_diagonal_instance(), 0),
-              *_band_scalings(L_of(random_instance(6, 0), 0))):
+              L_of(random_instance(4, 5), 1), L_of(_zero_diagonal_instance(), 0)):
         calls.clear()
         gains, _ = stabilize_gains(A)
         names = [name for name, _ in calls]
-        rho_of_A = [name for name, M in calls if name == "eigvals" and np.array_equal(M, A)]
-        assert names.count("eigvals") == len(rho_of_A) <= 1
         if names[0] == "eigvals":
+            assert names.count("eigvals") == 1 and np.array_equal(calls[0][1], A)
             passed = np.array_equal(gains, np.ones(A.shape[0]))
             paths.add("K = I passes" if passed else "K = I refused")
-        elif rho_of_A:
-            paths.add("band, passes" if len(calls) == 2 else "band, refused")
         else:
-            assert np.trace(A).real < 0
+            assert "eigvals" not in names and np.trace(A).real < 0
             paths.add("K = I skipped")
         _assert_gains_match_the_reference(A)
-    assert paths == {"K = I passes", "K = I refused", "K = I skipped",
-                     "band, passes", "band, refused"}
+    assert paths == {"K = I passes", "K = I refused", "K = I skipped"}

@@ -21,8 +21,8 @@ from lapmaneuver.cli import main
 from lapmaneuver.shapes import TOLERANCES, eigensystem, split_spectrum
 from lapmaneuver.spectral import MAX_BOOSTS
 
-from conftest import (block_graphs, random_instance, ring_chord, square_graph,
-                      square_shape)
+from conftest import (block_graphs, decagon_graph, decagon_shape, random_instance,
+                      ring_chord, square_graph, square_shape)
 
 
 def _design(spec, g=None, shape=None, seed=0):
@@ -516,6 +516,22 @@ def test_bound_is_basis_free_on_a_repeated_eigenvalue(name):
 _MOTIONS = (MotionSpec(omega=1.0, kappa_r=0.025),
             MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025),
             MotionSpec(v_star=1.0, kappa_t=0.05))
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9])
+@pytest.mark.parametrize("instance", [(decagon_graph(), decagon_shape()), random_instance(6, 0)],
+                         ids=["decagon", "random_instance(6, 0)"])
+def test_a_design_does_not_depend_on_the_shape_scale(instance, scale):
+    # span{1, p*} is that of any scaling of p*: the gain margin is relative to
+    # rho(KL) and the bound's T holds p* at unit scale, so the design holds,
+    # with the bound of a translation (mu~ ~ c / z*) in the shape's unit
+    g, shape = instance
+    for spec in _MOTIONS:
+        base = design_pipeline(g, shape, spec)
+        d = design_pipeline(g, ReferenceShape(scale * shape.p_star), spec)
+        unit = scale if spec.v_star else 1.0
+        assert d.stability.kappa_tilde_max == pytest.approx(
+            unit * base.stability.kappa_tilde_max, rel=1e-6)
 
 
 @st.composite
