@@ -5,13 +5,13 @@ setpoint holds. Per such segment a step is one matrix S on [p; 1]: the RK4
 polynomial R(dt X) (`integrate`) or expm(dt X) (`exact_trajectory`, the
 oracle). One loop computes only the states kept every s = sample_stride
 steps, and the segment's end: S^f reaches the first, blocks of them built by
-doubling are stepped by powers of T = S^s, and S^r reaches the end, every
-power formed by squaring S. G, the product of max(1, ||S^(2^b)||_inf) over
-2^b < s, bounds every skipped state by G ||y||_inf, y a computed state; a
-block passes if that is within the divergence threshold, else the segment is
-walked again with s = 1, testing every state: Diverged names the first bad
-step. `integrate` first raises StepUnstable, naming the largest stable dt,
-for a step outside RK4's region.
+doubling are stepped by powers of T = S^s, and S^r reaches the end, all
+three products of one list of squares S^(2^b). G, the product of
+max(1, ||S^(2^b)||_inf) over 2^b < s, bounds every skipped state by
+G ||y||_inf, y a computed state; a block passes if that is within the
+divergence threshold, else the segment is walked again with s = 1, testing
+every state: Diverged names the first bad step. `integrate` first raises
+StepUnstable, naming the largest stable dt, for a step outside RK4's region.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from itertools import accumulate
 from typing import Optional
 
 import numpy as np
-from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from .errors import Diverged, NotConverged, StepUnstable, ZeroState
@@ -198,10 +197,14 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
         for s in (int(cfg.sample_stride), 1):  # if a test fails, walk again step by step
             f = min((k0 // s + 1) * s, k1) - k0  # steps to the first multiple of s, or to k1
             m, r = divmod(k1 - k0 - f, s)  # the grid states after it; steps from the last to k1
-            G, Q = 1.0, S  # G >= ||S^i||_inf for every i < s, from the squares Q = S^(2^b)
-            for _ in range((s - 1).bit_length()):
-                G, Q = G * np.maximum(1.0, np.abs(Q).sum(1).max()), Q @ Q
-            states, P = (matrix_power(S, f) @ x)[None], matrix_power(S, s)  # T = S^s
+            squares = [S]  # S^(2^b) for 2^b <= s, the only squares of S formed
+            while len(squares) < s.bit_length():
+                squares.append(squares[-1] @ squares[-1])
+            G = 1.0  # G >= ||S^i||_inf for every i < s
+            for Q in squares[:(s - 1).bit_length()]:
+                G = G * np.maximum(1.0, np.abs(Q).sum(1).max())
+            P = _power(squares, s)  # T = S^s
+            states = ((P if f == s else _power(squares, f)) @ x)[None]
             while len(states) <= m and 2 * states.nbytes <= _TABLE_BYTES \
                     and np.isfinite(P2 := P @ P).all():  # stop before a non-finite power
                 states = np.concatenate([states, states[:m + 1 - len(states)] @ P.T])
@@ -211,7 +214,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 if j:
                     states = states[:m + 1 - j] @ P.T
                 if r and j + len(states) > m:  # the last block also holds the state at k1
-                    states = np.vstack([states, matrix_power(S, r) @ states[-1]])
+                    states = np.vstack([states, _power(squares, r) @ states[-1]])
                 ks = np.minimum(k0 + f + s * np.arange(j, j + len(states)), k1)  # their steps
                 if s > 1:  # a skipped state is S^i y, i < s, y = x or one of these: its
                     big = np.abs(states.view(float)).max(initial=big)  # |z| <= G sqrt(2) big
@@ -228,6 +231,20 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 break  # the segment passed every test
         x = states[-1]
     return Trajectory(keep * dt, samples)
+
+
+def _power(squares: list, e: int) -> np.ndarray:
+    """S^e, 1 <= e < 2^len(squares), from squares[b] = S^(2^b) by the
+    products of `numpy.linalg.matrix_power`, so with its bits: the squares
+    of the set bits of e from the least significant up, each multiplied on
+    the right, and S^2 S for e = 3."""
+    if e == 3:
+        return squares[1] @ squares[0]
+    P = None
+    for b in range(e.bit_length()):
+        if e >> b & 1:
+            P = squares[b] if P is None else P @ squares[b]
+    return P
 
 
 def shape_error(p: np.ndarray, shape: ReferenceShape) -> float | np.ndarray:

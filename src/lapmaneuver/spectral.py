@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import schur
@@ -67,13 +67,23 @@ class SplitCertificate:
         return schur(self.B[2:, 2:], output="complex")
 
 
+def _unsorted(_):
+    return None
+
+
+@lru_cache(maxsize=None)
+def _zgees_lwork(n: int) -> int:
+    """The workspace zgees asks for on an n x n matrix without Schur vectors;
+    the query reads n alone, so it is made once per n."""
+    return int(zgees(_unsorted, np.zeros((n, n), complex), compute_v=0, lwork=-1)[-2][0].real)
+
+
 def _schur_triangle(A: np.ndarray) -> np.ndarray:
     """T of the complex Schur form of A without Schur vectors: LAPACK zgees
     with jobvs = 'N' and the workspace it asks for, as `schur` sizes it, so T
     has the bits of schur(A, output="complex")[0]."""
-    A, unsorted = np.asarray_chkfinite(A), lambda _: None
-    lwork = int(zgees(unsorted, A, compute_v=0, lwork=-1)[-2][0].real)
-    T, *_, info = zgees(unsorted, A, compute_v=0, lwork=lwork)
+    A = np.asarray_chkfinite(A)
+    T, *_, info = zgees(_unsorted, A, compute_v=0, lwork=_zgees_lwork(A.shape[0]))
     if info:
         raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
     return T
@@ -146,8 +156,9 @@ def stability_bound(es: Eigensystem, MBt: np.ndarray,
     does not depend on it. With Q = diag(1/Re(lambda)) the Lyapunov identity
     Q J2 + J2^H Q = 2 I holds exactly and the bound is
     1 / ||Q (T^-1 M~ B^T T)_(trailing block)||_2.
-    The eigenvectors of a cluster (eigenvalues within spectrum_rel * rho) are
-    orthonormalized; Q is constant on it, so the bound is free of eig's basis.
+    The eigenvectors of a cluster (eigenvalues within spectrum_rel * rho, a
+    chain of such pairs merged into one) are orthonormalized; Q is constant
+    on it, so the bound is free of eig's basis.
     Scaling K by h scales Q by 1/h and leaves T^-1 M~ B^T T alone, so the
     bound of hKL is h times the bound of KL.
     """
@@ -155,11 +166,18 @@ def stability_bound(es: Eigensystem, MBt: np.ndarray,
     nonkernel = split_spectrum(ev)[2:]
     J2, W = ev[nonkernel], es.vectors[:, nonkernel]
     close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(ev).max()
-    for c in {tuple(np.flatnonzero(row)) for row in close if row.sum() > 1}:
-        W[:, c] = np.linalg.qr(W[:, c])[0]
+    while not (close == close[close.argmax(1)]).all():  # a chain: merge it into one cluster
+        close = close @ close
+    size, first = close.sum(1), close.argmax(1)
+    for k in np.unique(size[size > 1]):  # every cluster of k eigenvectors in one QR
+        c = np.flatnonzero(size == k)
+        c = c[np.argsort(first[c], kind="stable")].reshape(-1, k)
+        W[:, c] = np.linalg.qr(W[:, c].transpose(1, 0, 2))[0].transpose(1, 0, 2)
     unit_p = shape.p_star * 2.0 ** -math.frexp(shape.radius())[1]
     T = np.column_stack([np.ones(ev.size, dtype=complex), unit_p, W])
-    cond = np.linalg.cond(T)
+    sv = np.linalg.svd(T, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        cond = sv[0] / sv[-1]  # inf for a singular T
     if cond > TOLERANCES["cond_limit"]:
         raise NonDiagonalizable(
             f"eigenvector basis condition number {cond:.2e} exceeds "
@@ -170,7 +188,7 @@ def stability_bound(es: Eigensystem, MBt: np.ndarray,
     Q = 1.0 / J2.real
 
     pert = np.linalg.solve(T, MBt @ T)[2:, 2:]
-    norm = np.linalg.norm(Q[:, None] * pert, 2)
+    norm = np.linalg.svd(Q[:, None] * pert, compute_uv=False).max(initial=0.0)
     bound = math.inf if norm == 0 else 1.0 / norm
     return StabilityAnalysis(T, bound, ev)
 

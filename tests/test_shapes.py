@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (DegenerateShape, DegenerateWeights, FormationGraph, InfeasibleRow,
-                         ReferenceShape, StabilizationFailed, center_shape,
-                         laplacian, shapes, stabilize_gains, synthesize_weights)
+                         MotionSpec, PipelineFailed, ReferenceShape, StabilizationFailed,
+                         center_shape, design_pipeline, laplacian, shapes, stabilize_gains,
+                         synthesize_weights)
 from lapmaneuver.shapes import (_GAIN_STEPS, TOLERANCES, Eigensystem, _draw_weights,
                                 eigensystem, split_spectrum)
 
@@ -279,6 +280,20 @@ def test_gains_are_deterministic_with_a_real_margin_property(instance, seed, sca
     ev = np.linalg.eig(gains[:, None] * L)[0]  # the product stabilize_gains decomposes
     margin = TOLERANCES["gain_margin_rel"] * np.abs(ev).max()
     assert ev[split_spectrum(ev)[2:]].real.min() >= margin
+
+
+@pytest.mark.xfail(strict=True, raises=PipelineFailed,
+                   reason="the gain ascent stalls here (ROADMAP item 3 must design it)")
+@pytest.mark.parametrize("seed", range(4))
+def test_gain_ascent_stalls_on_random_instance_11_107(seed):
+    # a known fault kept on record: the ascent ends at min Re lambda / rho(KL)
+    # about -3.4e-3 with every design seed; a fix of the gain stage flips this
+    g, shape = random_instance(11, 107)
+    try:
+        design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=seed)
+    except PipelineFailed as exc:
+        assert exc.stage == "gains"
+        raise
 
 
 def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import warnings
 
@@ -487,15 +488,139 @@ def test_long_run_computes_only_the_kept_states(monkeypatch):
     # stride: one S^(10^6), formed by squaring, steps the 101 kept states
     d = _design(MotionSpec(a=-0.5, kappa_s=0.025))
     cfg = SimConfig(dt=0.01, t_end=1e6, seed=1, sample_stride=10**6)
-    powers = []
-    monkeypatch.setattr(sim, "matrix_power",
-                        lambda M, j: powers.append(j) or np.linalg.matrix_power(M, j))
+    powers, power = [], sim._power
+    monkeypatch.setattr(sim, "_power", lambda squares, j: powers.append(j) or power(squares, j))
     traj = exact_trajectory(d.modified.L_tilde, d.bundle.gains, cfg, square_shape())
     assert set(powers) == {10**6}  # no walk again step by step
     assert traj.times.size == 101 and traj.times[-1] == 1e6
     p0 = initial_condition(cfg, square_shape())
     ref = np.array([scipy.linalg.expm(-d.KL_tilde * t) @ p0 for t in traj.times])
     assert np.abs(traj.states - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _matrix_power_run(L_tilde, gains, cfg, shape, step_map, preflight):
+    """The sampler as it was before the squares were shared: G from its own
+    squares (one past the last it reads), S^f, S^s and S^r each from
+    `numpy.linalg.matrix_power`, so up to twelve products per segment at
+    stride 10."""
+    matrix_power = np.linalg.matrix_power
+    n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
+    steps = int(round(cfg.t_end / dt))
+    X = np.zeros((n + 1, n + 1), dtype=complex)
+    X[:n, :n] = -gains[:, None] * L_tilde
+    segments = [(0, steps, 0j)]
+    if h is not None:
+        if max(h.agent, h.neighbor) > n:
+            raise ValueError(f"heading agent/neighbor out of range for {n} agents")
+        X[h.agent - 1, h.agent - 1] -= h.gain
+        X[h.agent - 1, h.neighbor - 1] += h.gain
+        segments = h.segments(dt, steps)
+    preflight(X[:n, :n], dt)
+    keep = np.append(np.arange(0, steps, cfg.sample_stride), steps)
+    samples = np.empty((keep.size, n), dtype=complex)
+    x = np.append(initial_condition(cfg, shape), 1.0)
+    samples[0] = x[:n]
+    for k0, k1, setpoint in segments:
+        if h is not None:
+            X[h.agent - 1, n] = h.gain * setpoint
+        S = step_map(X, dt)
+        for s in (int(cfg.sample_stride), 1):
+            f = min((k0 // s + 1) * s, k1) - k0
+            m, r = divmod(k1 - k0 - f, s)
+            G, Q = 1.0, S
+            for _ in range((s - 1).bit_length()):
+                G, Q = G * np.maximum(1.0, np.abs(Q).sum(1).max()), Q @ Q
+            states, P = (matrix_power(S, f) @ x)[None], matrix_power(S, s)
+            while len(states) <= m and 2 * states.nbytes <= sim._TABLE_BYTES \
+                    and np.isfinite(P2 := P @ P).all():
+                states = np.concatenate([states, states[:m + 1 - len(states)] @ P.T])
+                P = P2
+            big = np.abs(x.view(float)).max()
+            for j in range(0, m + 1, len(states)):
+                if j:
+                    states = states[:m + 1 - j] @ P.T
+                if r and j + len(states) > m:
+                    states = np.vstack([states, matrix_power(S, r) @ states[-1]])
+                ks = np.minimum(k0 + f + s * np.arange(j, j + len(states)), k1)
+                if s > 1:
+                    big = np.abs(states.view(float)).max(initial=big)
+                    if not G * np.sqrt(2) * big <= cfg.divergence_threshold:
+                        break
+                else:
+                    within = np.abs(states[:, :n]) <= cfg.divergence_threshold
+                    if not within.all():
+                        raise Diverged("state norm exceeded threshold at "
+                                       f"t={ks[np.argmin(within.all(1))] * dt:.3f}")
+                i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
+                samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
+            else:
+                break
+        x = states[-1]
+    return Trajectory(keep * dt, samples)
+
+
+def _sweep_run(n, motion):
+    g, shape = ring_chord(n)
+    d = design_pipeline(g, shape, motion)
+    return d.modified.L_tilde, d.bundle.gains, SimConfig(dt=0.01, t_end=20.0, seed=n), shape
+
+
+def _builtin_run(name):
+    sc = scenario_from_dict(builtin_scenario(name))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    return d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape
+
+
+_SAMPLER_RUNS = {
+    **{name: functools.partial(_builtin_run, name) for name in SCENARIO_NAMES},
+    "ring_chord_8": functools.partial(_sweep_run, 8, MotionSpec(omega=1.0, kappa_r=0.025)),
+    "ring_chord_16": functools.partial(
+        _sweep_run, 16, MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025)),
+    "ring_chord_24": functools.partial(_sweep_run, 24, MotionSpec(v_star=1.0, kappa_t=0.05)),
+    "diverging": _growing_run}
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4, 7, 10, 16])
+@pytest.mark.parametrize("name", list(_SAMPLER_RUNS))
+def test_shared_squares_keep_the_matrix_power_bits(monkeypatch, name, stride):
+    # every kept state, or the Diverged / StepUnstable message, as the
+    # sampler that formed each power with matrix_power gave it
+    L_tilde, gains, cfg, shape = _SAMPLER_RUNS[name]()
+    cfg = dataclasses.replace(cfg, sample_stride=stride)
+    if name == "traveling_heading":
+        assert len(cfg.heading.segments(cfg.dt, int(round(cfg.t_end / cfg.dt)))) == 5
+
+    def outcome(run):
+        try:
+            traj = run(L_tilde, gains, cfg, shape)
+        except Diverged as exc:
+            return type(exc), str(exc)
+        return traj.times, traj.states
+
+    for run in (integrate, exact_trajectory):
+        new = outcome(run)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_run", _matrix_power_run)
+            ref = outcome(run)
+        assert type(new[0]) is type(ref[0])
+        if isinstance(ref[0], type):
+            assert new == ref
+        else:
+            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+    if name == "diverging":
+        assert new[0] is Diverged
+
+
+def test_a_stride_10_segment_takes_four_products(monkeypatch):
+    # per heading segment of traveling_heading, on the stride grid: the
+    # squares S^2, S^4, S^8 and T = S^10 = S^2 S^8, which is also S^f
+    L_tilde, gains, cfg, shape = _builtin_run("traveling_heading")
+    seen, power = [], sim._power
+    monkeypatch.setattr(sim, "_power",
+                        lambda squares, e: seen.append((len(squares), e)) or power(squares, e))
+    exact_trajectory(L_tilde, gains, dataclasses.replace(cfg, sample_stride=10), shape)
+    assert seen == [(4, 10)] * 5
 
 
 @pytest.mark.parametrize("stride", [2.5, 2.0, 0, -3])

@@ -12,11 +12,12 @@ from scipy.linalg.lapack import zgees
 from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, Eigensystem, ExpansionIllConditioned,
-                         FormationGraph, MotionSpec, NotTwoRooted, PipelineFailed,
-                         ReferenceShape,
-                         SplitCertificate, builtin_scenario, center_shape,
+                         FormationGraph, MotionSpec, NonDiagonalizable, NotTwoRooted,
+                         PipelineFailed, ReferenceShape, SplitCertificate,
+                         StabilityAnalysis, builtin_scenario, center_shape,
                          design_pipeline, exact_trajectory, predict_steady_state,
                          scenario_from_dict, shape_error, stability_bound)
+from lapmaneuver import spectral
 from lapmaneuver.cli import main
 from lapmaneuver.shapes import TOLERANCES, eigensystem, split_spectrum
 from lapmaneuver.spectral import MAX_BOOSTS
@@ -718,3 +719,187 @@ def test_bound_scaling_on_an_ear_graph_with_a_slow_mode():
         -0.6074865502179937 + 0.7361563134126157j]))
     d = design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=3)
     _assert_bound_scales_with_the_boost(d)
+
+
+def reference_stability_bound(es, MBt, shape):
+    """The bound as it was before the clusters were batched: one QR per
+    distinct close-set, np.linalg.cond and np.linalg.norm(., 2)."""
+    ev = es.values
+    nonkernel = split_spectrum(ev)[2:]
+    J2, W = ev[nonkernel], es.vectors[:, nonkernel]
+    close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(ev).max()
+    for c in {tuple(np.flatnonzero(row)) for row in close if row.sum() > 1}:
+        W[:, c] = np.linalg.qr(W[:, c])[0]
+    unit_p = shape.p_star * 2.0 ** -math.frexp(shape.radius())[1]
+    T = np.column_stack([np.ones(ev.size, dtype=complex), unit_p, W])
+    cond = np.linalg.cond(T)
+    if cond > TOLERANCES["cond_limit"]:
+        raise NonDiagonalizable(
+            f"eigenvector basis condition number {cond:.2e} exceeds "
+            f"{TOLERANCES['cond_limit']:.0e}; a gain boost keeps the eigenvectors, "
+            "so try other weights (another design seed)")
+    if np.any(J2.real <= 0):
+        raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
+    Q = 1.0 / J2.real
+    pert = np.linalg.solve(T, MBt @ T)[2:, 2:]
+    norm = np.linalg.norm(Q[:, None] * pert, 2)
+    bound = math.inf if norm == 0 else 1.0 / norm
+    return StabilityAnalysis(T, bound, ev)
+
+
+def _close_sets(es) -> np.ndarray:
+    """close[i, j]: non-kernel eigenvalues i and j within spectrum_rel * rho."""
+    J2 = es.values[split_spectrum(es.values)[2:]]
+    return np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(es.values).max()
+
+
+def _disjoint(close) -> bool:
+    """Every two close eigenvalues have the same close-set: no chain."""
+    return all((close[i] == close[j]).all() for i, j in zip(*np.nonzero(close)))
+
+
+def _bound_inputs(g, shape, spec, seed):
+    """The arguments design_pipeline passes to stability_bound; none if it
+    fails before the bound."""
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "stability_bound",
+                  lambda *args: seen.append(args) or stability_bound(*args))
+        try:
+            design_pipeline(g, shape, spec, seed=seed)
+        except PipelineFailed:
+            pass
+    return seen
+
+
+def _hand_built(values, seed=0, singular=False):
+    """An Eigensystem with the given non-kernel eigenvalues after a zero
+    pair, eigenvectors [1, p*, random], and a random M~ B^T; with singular,
+    a triangle whose one non-kernel eigenvector is 1 again: cond(T) is inf."""
+    rng = np.random.default_rng(seed)
+    n = len(values) + 2
+    if singular:
+        shape = center_shape(np.exp(2j * np.pi * np.arange(3) / 3))
+        V = np.column_stack([np.ones(3), shape.p_star, np.ones(3)]).astype(complex)
+    else:
+        shape = center_shape(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        V = np.column_stack([np.ones(n), shape.p_star,
+                             rng.standard_normal((n, n - 2))
+                             + 1j * rng.standard_normal((n, n - 2))])
+    ev = np.concatenate([[0, 0], values]).astype(complex)
+    MBt = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return Eigensystem(np.zeros((n, n), dtype=complex), ev, V), MBt, shape
+
+
+_TWO_AND_THREE = (1, 1 + 1e-12, 2, 2 + 1e-12, 2 - 1e-12j, 3 + 1j, 3 - 1j, 5)
+
+
+def _oracle_cases(group):
+    if group == "builtins":
+        for name, seed in itertools.product(SCENARIO_NAMES + ("enclosing_20",), range(6)):
+            over = {"motion": {"kappa_tilde": 20.0}} if name == "enclosing_20" else None
+            sc = scenario_from_dict(builtin_scenario(name.removesuffix("_20"), over))
+            yield from _bound_inputs(sc.graph, sc.shape, sc.spec, seed)
+    elif group == "fixtures":
+        for (g, shape), spec, seed in itertools.product(
+                [(square_graph(), square_shape()), (decagon_graph(), decagon_shape())],
+                (MotionSpec(),) + _MOTIONS, range(2)):
+            yield from _bound_inputs(g, shape, spec, seed)
+    elif group == "random":
+        for n, seed in itertools.product(range(4, 13), range(20)):
+            yield from _bound_inputs(*random_instance(n, seed), _MOTIONS[seed % 3], seed % 4)
+    else:
+        yield _hand_built(_TWO_AND_THREE)
+        yield _hand_built((1, 1, 1, 2, 2, 4), seed=1)  # exactly repeated
+        yield _hand_built((1, 1 + 1e-12, -2, -2, 3), seed=2)  # left-half plane: ValueError
+        yield _hand_built((1,), singular=True)  # NonDiagonalizable, cond inf
+
+
+@pytest.mark.parametrize("group", ["builtins", "fixtures", "random", "hand-built"])
+def test_batched_clusters_keep_the_bits_of_one_qr_each(group):
+    # one stacked QR per cluster size gives what one QR per cluster gave,
+    # and svd(compute_uv=False) what cond and norm(., 2) gave, where the
+    # close-sets are disjoint (the chain is below)
+    sizes = set()
+    cases = list(_oracle_cases(group))
+    assert len(cases) >= 4
+    for args in cases:
+        close = _close_sets(args[0])
+        assert _disjoint(close)
+        sizes |= set(close.sum(1).tolist())
+        try:
+            ref = reference_stability_bound(*args)
+        except (NonDiagonalizable, ValueError) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a singular T reads inf without a warning
+                with pytest.raises(type(exc)) as new:
+                    stability_bound(*args)
+            assert type(new.value) is type(exc) and str(new.value) == str(exc)
+            continue
+        new = stability_bound(*args)
+        assert np.array_equal(new.T, ref.T)
+        assert np.array_equal(new.kappa_tilde_max, ref.kappa_tilde_max)
+        assert np.array_equal(new.eigenvalues, ref.eigenvalues)
+    if group in ("builtins", "fixtures"):
+        assert 2 in sizes  # the decagons' repeated eigenvalues
+    if group == "hand-built":
+        assert {2, 3} <= sizes
+
+
+def test_a_singular_eigenbasis_reads_cond_inf():
+    args = _hand_built((1,), singular=True)
+    assert np.linalg.svd(np.column_stack([np.ones(3), args[2].p_star, np.ones(3)]),
+                         compute_uv=False)[-1] == 0
+    with pytest.raises(NonDiagonalizable, match="condition number inf exceeds"):
+        stability_bound(*args)
+
+
+def test_a_chain_of_close_eigenvalues_is_one_cluster():
+    # lambda_1 ~ lambda_2 ~ lambda_3 within spectrum_rel * rho pairwise, but
+    # lambda_1 and lambda_3 not: the chain is merged into one cluster, its
+    # three eigenvectors orthonormalized by one QR, so the bound does not
+    # depend on the basis eig returns for it beyond the spread of
+    # Q = 1 / Re lambda over the chain, 1.6 delta relative
+    delta = TOLERANCES["spectrum_rel"] * 5
+    es, MBt, shape = _hand_built((1, 1 + 0.8 * delta, 1 + 1.6 * delta, 2, 3 + 1j, 5), seed=3)
+    close = _close_sets(es)
+    assert not _disjoint(close) and not close[0, 2]
+    chain = split_spectrum(es.values)[2:5]
+    b = stability_bound(es, MBt, shape)
+    assert np.array_equal(b.T[:, 2:5], np.linalg.qr(es.vectors[:, chain])[0])
+    A = np.random.default_rng(4).standard_normal((3, 3))
+    V = es.vectors.copy()
+    V[:, chain] = V[:, chain] @ A
+    mixed = stability_bound(Eigensystem(es.matrix, es.values, V), MBt, shape)
+    assert mixed.kappa_tilde_max == pytest.approx(b.kappa_tilde_max, rel=4 * 1.6 * delta)
+
+
+@pytest.mark.parametrize("name", ["shaped_consensus_inward", "spiral_outward"])
+def test_the_decagons_four_clusters_take_one_qr(monkeypatch, name):
+    sc = scenario_from_dict(builtin_scenario(name))
+    (args,) = _bound_inputs(sc.graph, sc.shape, sc.spec, sc.design_seed)
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda A, *a, **kw: shapes.append(A.shape) or qr(A, *a, **kw))
+    stability_bound(*args)
+    assert shapes == [(4, 10, 2)]
+
+
+def test_zgees_workspace_is_queried_once_per_n(monkeypatch):
+    # the query reads n alone: one per n, then one zgees call per design
+    lworks = []
+
+    def counted(sort, A, **kw):
+        lworks.append(kw["lwork"])
+        return zgees(sort, A, **kw)
+
+    monkeypatch.setattr(spectral, "zgees", counted)
+    spectral._zgees_lwork.cache_clear()
+    for seed in (0, 1):
+        _design(MotionSpec(omega=1.0, kappa_r=0.025), decagon_graph(), decagon_shape(), seed)
+    assert lworks.count(-1) == 1 and len(lworks) == 3
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 8, 30, 64):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        queried = int(zgees(lambda _: None, A, compute_v=0, lwork=-1)[-2][0].real)
+        assert spectral._zgees_lwork(n) == queried
