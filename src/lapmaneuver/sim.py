@@ -6,12 +6,14 @@ polynomial R(dt X) (`integrate`) or expm(dt X) (`exact_trajectory`, the
 oracle). One loop computes only the states kept every s = sample_stride
 steps, and the segment's end: S^f reaches the first, blocks of them built by
 doubling are stepped by powers of T = S^s, and S^r reaches the end, all
-three products of one list of squares S^(2^b). G, the product of
-max(1, ||S^(2^b)||_inf) over 2^b < s, bounds every skipped state by
-G ||y||_inf, y a computed state; a block passes if that is within the
-divergence threshold, else the segment is walked again with s = 1, testing
-every state: Diverged names the first bad step. `integrate` first raises
-StepUnstable, naming the largest stable dt, for a step outside RK4's region.
+three products of one list of squares S^(2^b). Each kept state is written
+once, where it is kept: in the run's one buffer of rows [p; 1], whose first
+n columns are Trajectory.states. G, the product of max(1, ||S^(2^b)||_inf)
+over 2^b < s, bounds every skipped state by G ||y||_inf, y a computed state;
+a segment passes if that is within the divergence threshold, else it is
+walked again with s = 1 in a bounded table of its own, testing every state:
+Diverged names the first bad step. `integrate` first raises StepUnstable,
+naming the largest stable dt, for a step outside RK4's region.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from scipy.linalg import expm
 from .errors import Diverged, NotConverged, StepUnstable, ZeroState
 from .shapes import TOLERANCES, ReferenceShape
 
-_TABLE_BYTES = 256 * 1024  # bound on one block of states
+_TABLE_BYTES = 256 * 1024  # bound on one block of states [p; 1]
 _RK4 = (1 / 24, 1 / 6, 1 / 2, 1, 1)  # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
 
 
@@ -174,7 +176,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
          shape: ReferenceShape, step_map, preflight) -> Trajectory:
     """Step [p; 1] by S = step_map(X, dt), one S per setpoint segment, after
     preflight(A, dt) on the n x n block A of X, which no segment changes."""
-    n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
+    n, dt, h, stride = L_tilde.shape[0], cfg.dt, cfg.heading, int(cfg.sample_stride)
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
@@ -186,51 +188,73 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
         X[h.agent - 1, h.neighbor - 1] += h.gain
         segments = h.segments(dt, steps)
     preflight(X[:n, :n], dt)
-    keep = np.append(np.arange(0, steps, cfg.sample_stride), steps)  # sampled steps
-    samples = np.empty((keep.size, n), dtype=complex)
-    x = np.append(initial_condition(cfg, shape), 1.0)
-    samples[0] = x[:n]
+    keep = np.append(np.arange(0, steps, stride), steps)  # sampled steps
+    kept = np.empty((keep.size, n + 1), dtype=complex)  # their states [p; 1], k * stride in row k
+    x = kept[0] = np.append(initial_condition(cfg, shape), 1.0)
+    rows = _TABLE_BYTES // x.nbytes  # the most states in one block
     for k0, k1, setpoint in segments:
         if h is not None:
             X[h.agent - 1, n] = h.gain * setpoint
         S = step_map(X, dt)
-        for s in (int(cfg.sample_stride), 1):  # if a test fails, walk again step by step
-            f = min((k0 // s + 1) * s, k1) - k0  # steps to the first multiple of s, or to k1
-            m, r = divmod(k1 - k0 - f, s)  # the grid states after it; steps from the last to k1
+        for s in (stride, 1):  # if a test fails, walk again step by step
+            m = k1 // s - k0 // s  # the states on the grid of s in (k0, k1]
+            f = (k0 // s + 1) * s - k0  # steps from k0 to the first of them
+            r = k1 - max(k0, k1 // s * s)  # steps from the last of them, or from k0, to k1
             squares = [S]  # S^(2^b) for 2^b <= s, the only squares of S formed
             while len(squares) < s.bit_length():
-                squares.append(squares[-1] @ squares[-1])
+                squares.append(_product(squares[-1], squares[-1]))
             G = 1.0  # G >= ||S^i||_inf for every i < s
             for Q in squares[:(s - 1).bit_length()]:
                 G = G * np.maximum(1.0, np.abs(Q).sum(1).max())
             P = _power(squares, s)  # T = S^s
-            states = ((P if f == s else _power(squares, f)) @ x)[None]
-            while len(states) <= m and 2 * states.nbytes <= _TABLE_BYTES \
-                    and np.isfinite(P2 := P @ P).all():  # stop before a non-finite power
-                states = np.concatenate([states, states[:m + 1 - len(states)] @ P.T])
-                P = P2
-            big = np.abs(x.view(float)).max()  # largest |Re z|, |Im z| of x and states since
-            for j in range(0, m + 1, len(states)):  # j counts the grid states before the block
-                if j:
-                    states = states[:m + 1 - j] @ P.T
-                if r and j + len(states) > m:  # the last block also holds the state at k1
-                    states = np.vstack([states, _power(squares, r) @ states[-1]])
-                ks = np.minimum(k0 + f + s * np.arange(j, j + len(states)), k1)  # their steps
-                if s > 1:  # a skipped state is S^i y, i < s, y = x or one of these: its
-                    big = np.abs(states.view(float)).max(initial=big)  # |z| <= G sqrt(2) big
-                    if not G * np.sqrt(2) * big <= cfg.divergence_threshold:  # False for NaN
-                        break
-                else:
-                    within = np.abs(states[:, :n]) <= cfg.divergence_threshold  # False for NaN, inf
+            in_place = s == stride  # the grid states are kept rows; a walk again keeps some
+            table = kept[k0 // s + 1:k1 // s + 1] if in_place else \
+                np.empty((min(m, rows), n + 1), dtype=complex)
+            if m:
+                table[0] = (P if f == s else _power(squares, f)) @ x
+            L = 1  # the first block, built by doubling: T^L times its first rows go next
+            while L < m and 2 * L <= rows:
+                P2 = _product(P, P) if 2 * L < m else None  # T^2L, if a later block reads it
+                if P2 is not None and not np.isfinite(P2).all():
+                    break  # stop before a non-finite power
+                c = min(L, m - L)
+                np.matmul(table[:c], P.T, out=table[L:L + c])
+                L, P = L + c, P2
+            block = table[:L]
+            for j in range(0, m, L):  # j counts the grid states before the block
+                if j:  # the block before times T^L, in its kept rows or a new table
+                    block = np.matmul(block[:m - j], P.T, out=table[j:j + L] if in_place else None)
+                if s == 1:
+                    within = np.abs(block[:, :n]) <= cfg.divergence_threshold  # False for NaN, inf
                     if not within.all():  # one test per block, then find the first bad step
                         raise Diverged("state norm exceeded threshold at "
-                                       f"t={ks[np.argmin(within.all(1))] * dt:.3f}")
-                i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
-                samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
-            else:
-                break  # the segment passed every test
-        x = states[-1]
-    return Trajectory(keep * dt, samples)
+                                       f"t={(k0 + j + 1 + np.argmin(within.all(1))) * dt:.3f}")
+                if not in_place:  # walked again: copy out the kept states
+                    i0, i1 = np.searchsorted(keep, (k0 + j, k0 + j + len(block)), side="right")
+                    kept[i0:i1] = block[keep[i0:i1] - (k0 + j + 1)]
+            y = block[-1] if m else x  # the last state computed, then the state at k1
+            if r:
+                y = _power(squares, r) @ y
+            if s > 1:  # a skipped state is S^i z, i < s, z = x or one since: |.| <= G sqrt(2) big
+                big = np.max([_peak(z) for z in (x, table, y)])
+                if not G * np.sqrt(2) * big <= cfg.divergence_threshold:  # False for NaN
+                    continue  # walk the segment again
+            if r and k1 == steps:
+                kept[-1] = y
+            x = y
+            break
+    return Trajectory(keep * dt, kept[:, :n])
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B: every product of two (n+1)-square matrices the sampler forms."""
+    return A @ B
+
+
+def _peak(z: np.ndarray) -> float:
+    """The largest |Re| or |Im| of the entries of z, NaN if one is, read in place."""
+    v = z.view(float)
+    return np.maximum(v.max(initial=0.0), -v.min(initial=0.0))
 
 
 def _power(squares: list, e: int) -> np.ndarray:
@@ -239,11 +263,11 @@ def _power(squares: list, e: int) -> np.ndarray:
     of the set bits of e from the least significant up, each multiplied on
     the right, and S^2 S for e = 3."""
     if e == 3:
-        return squares[1] @ squares[0]
+        return _product(squares[1], squares[0])
     P = None
     for b in range(e.bit_length()):
         if e >> b & 1:
-            P = squares[b] if P is None else P @ squares[b]
+            P = squares[b] if P is None else _product(P, squares[b])
     return P
 
 

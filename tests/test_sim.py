@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import re
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
                          design_pipeline, exact_trajectory, initial_condition,
                          integrate, measure_motion, scenario_from_dict,
                          shape_error)
-from lapmaneuver import sim
+from lapmaneuver import cli, sim
 
 from conftest import ring_chord, square_graph, square_shape
 
@@ -621,6 +623,85 @@ def test_a_stride_10_segment_takes_four_products(monkeypatch):
                         lambda squares, e: seen.append((len(squares), e)) or power(squares, e))
     exact_trajectory(L_tilde, gains, dataclasses.replace(cfg, sample_stride=10), shape)
     assert seen == [(4, 10)] * 5
+
+
+def _edge_run(stride, untils, steps=40):
+    # a fixed stable 3-agent loop whose heading setpoints switch at untils
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A = B - (np.linalg.eigvals(B).real.max() + 0.5) * np.eye(3)
+    A *= 0.3 / (0.01 * np.abs(np.linalg.eigvals(A)).max())
+    schedule = tuple((u, 1j ** i) for i, u in enumerate((*untils, steps * 0.01)))
+    heading = HeadingControl(1, 2, 1.0, schedule)
+    cfg = SimConfig(dt=0.01, t_end=steps * 0.01, seed=3, sample_stride=stride, heading=heading)
+    return -A, cfg, center_shape(np.exp(2j * np.pi * np.arange(3) / 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stable_runs())
+# segments (0, 3) and (3, 5) shorter than a stride, (5, 20) ending off the
+# grid before the run's end, (20, 40) ending off the grid at the run's end
+@example(_edge_run(7, (0.03, 0.05, 0.2)))
+@example(_edge_run(64, (0.1,)))  # no state of either segment on the grid
+@example(_edge_run(10, (0.2,)))  # the boundary and the end on the grid
+@example(_edge_run(1, (0.055,)))
+def test_in_place_sampler_keeps_the_matrix_power_bits_property(run):
+    L_tilde, cfg, shape = run
+    args = (L_tilde, np.ones(shape.n, dtype=complex), cfg, shape)
+    for step in (integrate, exact_trajectory):
+        new = step(*args)
+        with mock.patch.object(sim, "_run", _matrix_power_run):
+            ref = step(*args)
+        assert np.array_equal(new.times, ref.times) and np.array_equal(new.states, ref.states)
+
+
+@pytest.mark.parametrize("run", [exact_trajectory, integrate])
+def test_kept_states_are_the_only_table_of_the_run(run):
+    # the kept states [p; 1] are written once, where they are kept: the run
+    # allocates at most 128 KB beside them (688 KB here)
+    L_tilde, gains, cfg, shape = _builtin_run("shaped_consensus_inward")
+    tracemalloc.start()
+    try:
+        traj = run(L_tilde, gains, cfg, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj.times.size * (shape.n + 1) * 16 + 128 * 1024
+
+
+@pytest.mark.parametrize("make, products", [
+    # S^2, S^4, S^8, T = S^2 S^8, and T^2 ... T^128 for the first block's
+    # doublings; the last doubling fills the segment's 200 states, so no T^256
+    (functools.partial(_sweep_run, 48, MotionSpec(omega=1.0, kappa_r=0.025)), 11),
+    # 4000 states: the first block stops at 1024 of them (2048 would pass
+    # 256 KB), and T^1024 steps the later blocks: all 4 + 10 products are read
+    (functools.partial(_builtin_run, "shaped_consensus_inward"), 14)], ids=["n48", "shaped"])
+def test_a_stride_10_run_forms_no_unread_power(monkeypatch, make, products):
+    L_tilde, gains, cfg, shape = make()
+    cfg = dataclasses.replace(cfg, sample_stride=10)
+    formed, product = [], sim._product
+    monkeypatch.setattr(sim, "_product",
+                        lambda A, B: formed.append(A.shape) or product(A, B))
+    exact_trajectory(L_tilde, gains, cfg, shape)
+    assert formed == [(shape.n + 1, shape.n + 1)] * products
+
+
+@pytest.mark.parametrize("name, window", [("shaped_consensus_inward", (300.0, 400.0)),
+                                          ("traveling_heading", (225.0, 250.0))])
+def test_kept_states_read_as_a_contiguous_copy(tmp_path, name, window):
+    # Trajectory.states is a view of the kept [p; 1] rows, not a copy
+    sc = scenario_from_dict(builtin_scenario(name))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    traj = integrate(d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape)
+    copy = Trajectory(traj.times, np.ascontiguousarray(traj.states))
+    assert not traj.states.flags.c_contiguous and copy.states.flags.c_contiguous
+    assert np.array_equal(shape_error(traj.states, sc.shape), shape_error(copy.states, sc.shape))
+    assert measure_motion(traj, sc.shape, traj.window(*window)) == \
+        measure_motion(copy, sc.shape, copy.window(*window))
+    assert cli.build_report(sc, d, traj)["metrics"] == cli.build_report(sc, d, copy)["metrics"]
+    cli.write_trajectory_csv(traj, tmp_path / "view.csv")
+    cli.write_trajectory_csv(copy, tmp_path / "copy.csv")
+    assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
 
 
 @pytest.mark.parametrize("stride", [2.5, 2.0, 0, -3])
