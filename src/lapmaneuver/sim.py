@@ -1,19 +1,18 @@
 """Closed-loop integration of p' = -K L~ p and trajectory metrics.
 
-The loop is linear; heading control adds an affine term, constant while a
-setpoint holds. Per such segment a step is one matrix S on [p; 1]: the RK4
-polynomial R(dt X) (`integrate`) or expm(dt X) (`exact_trajectory`, the
-oracle). One loop computes only the states kept every s = sample_stride
-steps, and the segment's end: S^f reaches the first, blocks of them built by
-doubling are stepped by powers of T = S^s, and S^r reaches the end, all
-three products of one list of squares S^(2^b). Each kept state is written
-once, where it is kept: in the run's one buffer of rows [p; 1], whose first
-n columns are Trajectory.states. G, the product of max(1, ||S^(2^b)||_inf)
-over 2^b < s, bounds every skipped state by G ||y||_inf, y a computed state;
-a segment passes if that is within the divergence threshold, else it is
-walked again with s = 1 in a bounded table of its own, testing every state:
-Diverged names the first bad step. `integrate` first raises StepUnstable,
-naming the largest stable dt, for a step outside RK4's region.
+Heading control adds c u to one agent's input, u a setpoint held between
+switches (u' = 0): a run is one linear system on [p; u], a step one matrix S
+formed once per run, the RK4 polynomial R(dt X) (`integrate`) or expm(dt X)
+(`exact_trajectory`, the oracle); a switch only sets u. One loop computes
+only the states kept every s = sample_stride steps, and each segment's end:
+S^f reaches the first, blocks of them built by doubling are stepped by powers
+of T = S^s, and S^r reaches the end, all products of one list of squares
+S^(2^b). Each kept state is written once, in the run's one buffer of rows
+[p; u], whose first n columns are Trajectory.states. A skipped state is at
+most G ||y||_inf, G = prod max(1, ||S^(2^b)||_inf) over 2^b < s, y a state
+computed; a segment passes if that is within the threshold, else it is walked
+again with s = 1 in a bounded table of its own, testing every state: Diverged
+names the first bad step. `integrate` first refuses an RK4-unstable dt.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from scipy.linalg import expm
 from .errors import Diverged, NotConverged, StepUnstable, ZeroState
 from .shapes import TOLERANCES, ReferenceShape
 
-_TABLE_BYTES = 256 * 1024  # bound on one block of states [p; 1]
+_TABLE_BYTES = 256 * 1024  # bound on one block of states [p; u]
 _RK4 = (1 / 24, 1 / 6, 1 / 2, 1, 1)  # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
 
 
@@ -174,39 +173,38 @@ def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # non-finite states raise Diverged
 def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
          shape: ReferenceShape, step_map, preflight) -> Trajectory:
-    """Step [p; 1] by S = step_map(X, dt), one S per setpoint segment, after
-    preflight(A, dt) on the n x n block A of X, which no segment changes."""
+    """Step [p; u] by S = step_map(X, dt), one S per run, after preflight(A, dt)
+    on the n x n block A of X; each segment sets u to its setpoint."""
     n, dt, h, stride = L_tilde.shape[0], cfg.dt, cfg.heading, int(cfg.sample_stride)
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
-    segments = [(0, steps, 0j)]  # (first step, end, setpoint), zero-order hold
+    segments = [(0, steps, 1.0)]  # (first step, end, setpoint u), zero-order hold
     if h is not None:
         if max(h.agent, h.neighbor) > n:
             raise ValueError(f"heading agent/neighbor out of range for {n} agents")
         X[h.agent - 1, h.agent - 1] -= h.gain
         X[h.agent - 1, h.neighbor - 1] += h.gain
+        X[h.agent - 1, n] = h.gain  # the input column: c u, with u' = 0
         segments = h.segments(dt, steps)
     preflight(X[:n, :n], dt)
+    squares = [step_map(X, dt)]  # S^(2^b) for 2^b <= stride, the only squares of S formed
+    while len(squares) < stride.bit_length():
+        squares.append(_product(squares[-1], squares[-1]))
+    G = 1.0  # G >= ||S^i||_inf for every i < stride
+    for Q in squares[:(stride - 1).bit_length()]:
+        G = G * np.maximum(1.0, np.abs(Q).sum(1).max())
+    T = _power(squares, stride)
     keep = np.append(np.arange(0, steps, stride), steps)  # sampled steps
-    kept = np.empty((keep.size, n + 1), dtype=complex)  # their states [p; 1], k * stride in row k
+    kept = np.empty((keep.size, n + 1), dtype=complex)  # their states [p; u], k * stride in row k
     x = kept[0] = np.append(initial_condition(cfg, shape), 1.0)
     rows = _TABLE_BYTES // x.nbytes  # the most states in one block
-    for k0, k1, setpoint in segments:
-        if h is not None:
-            X[h.agent - 1, n] = h.gain * setpoint
-        S = step_map(X, dt)
-        for s in (stride, 1):  # if a test fails, walk again step by step
+    for k0, k1, u in segments:
+        x = np.append(x[:n], u)  # the state at k0, holding the segment's setpoint
+        for s, P in ((stride, T), (1, squares[0])):  # P = S^s; if a test fails, walk again
             m = k1 // s - k0 // s  # the states on the grid of s in (k0, k1]
             f = (k0 // s + 1) * s - k0  # steps from k0 to the first of them
             r = k1 - max(k0, k1 // s * s)  # steps from the last of them, or from k0, to k1
-            squares = [S]  # S^(2^b) for 2^b <= s, the only squares of S formed
-            while len(squares) < s.bit_length():
-                squares.append(_product(squares[-1], squares[-1]))
-            G = 1.0  # G >= ||S^i||_inf for every i < s
-            for Q in squares[:(s - 1).bit_length()]:
-                G = G * np.maximum(1.0, np.abs(Q).sum(1).max())
-            P = _power(squares, s)  # T = S^s
             in_place = s == stride  # the grid states are kept rows; a walk again keeps some
             table = kept[k0 // s + 1:k1 // s + 1] if in_place else \
                 np.empty((min(m, rows), n + 1), dtype=complex)
@@ -243,7 +241,9 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 kept[-1] = y
             x = y
             break
-    return Trajectory(keep * dt, kept[:, :n])
+    times = keep.astype(float)
+    times *= dt  # in place: no cast buffer beside the times
+    return Trajectory(times, kept[:, :n])
 
 
 def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

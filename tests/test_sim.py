@@ -94,6 +94,12 @@ def _square_translation_heading(schedule, **sim):
     return d, SimConfig(dt=0.01, seed=2, heading=heading, **sim)
 
 
+def _builtin_run(name):
+    sc = scenario_from_dict(builtin_scenario(name))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    return d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape
+
+
 def test_zero_dynamics_constant(square):
     _, shape = square
     L0 = np.zeros((4, 4), dtype=complex)
@@ -339,8 +345,18 @@ def _late_run():
     return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
 
 
+def _held_setpoint_run():
+    # p_1' = p_1 + p_2 + u: u = 1e3 j, then -1e4 drive p_1 past 1e9 near t = 18.75,
+    # in the third of four setpoints, so the walk again starts from u = -1e4
+    cfg = SimConfig(dt=0.01, t_end=40.0, p0=np.array([1e-3, 1j]), sample_stride=50,
+                    heading=HeadingControl(1, 2, 1.0, ((5.0, 0j), (10.0, 1e3j), (20.0, -1e4),
+                                                       (40.0, 1.0))))
+    L_tilde = -np.diag([2.0, -1.0]).astype(complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
 @pytest.mark.parametrize("make", [_growing_run, _transient_run, _early_peak_run, _overflow_run,
-                                  _nan_run, _late_run])
+                                  _nan_run, _late_run, _held_setpoint_run])
 def test_step_maps_diverge_at_the_same_step(make):
     args = make()
     for run, exact in ((integrate, False), (exact_trajectory, True)):
@@ -352,7 +368,7 @@ def test_step_maps_diverge_at_the_same_step(make):
 
 
 def test_late_run_diverges_past_the_first_block():
-    # the first block holds at most _TABLE_BYTES of states [p; 1]
+    # the first block holds at most _TABLE_BYTES of states [p; u]
     _, _, cfg, shape = args = _late_run()
     first_block = sim._TABLE_BYTES // (16 * (shape.n + 1))
     for run in (integrate, exact_trajectory):
@@ -460,8 +476,17 @@ def _stable_runs(draw):
     return -A, cfg, center_shape(np.exp(2j * np.pi * np.arange(n) / n))
 
 
+def _forty_setpoints_run():
+    # the traveling_heading design steered through 40 headings, one every 6.25 s
+    L_tilde, gains, cfg, shape = _builtin_run("traveling_heading")
+    schedule = tuple((6.25 * (k + 1), 2 * np.exp(2j * np.pi * k / 40)) for k in range(40))
+    heading = dataclasses.replace(cfg.heading, schedule=schedule)
+    return gains[:, None] * L_tilde, dataclasses.replace(cfg, heading=heading), shape
+
+
 @settings(max_examples=40, deadline=None)
 @given(_stable_runs())
+@example(_forty_setpoints_run())
 def test_step_maps_match_per_step_loops_property(run):
     L_tilde, cfg, shape = run
     args = (L_tilde, np.ones(shape.n, dtype=complex), cfg, shape)
@@ -505,28 +530,28 @@ def _matrix_power_run(L_tilde, gains, cfg, shape, step_map, preflight):
     """The sampler as it was before the squares were shared: G from its own
     squares (one past the last it reads), S^f, S^s and S^r each from
     `numpy.linalg.matrix_power`, so up to twelve products per segment at
-    stride 10."""
+    stride 10. Its state is [p; u], the setpoint u set at each segment."""
     matrix_power = np.linalg.matrix_power
     n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
-    segments = [(0, steps, 0j)]
+    segments = [(0, steps, 1.0)]
     if h is not None:
         if max(h.agent, h.neighbor) > n:
             raise ValueError(f"heading agent/neighbor out of range for {n} agents")
         X[h.agent - 1, h.agent - 1] -= h.gain
         X[h.agent - 1, h.neighbor - 1] += h.gain
+        X[h.agent - 1, n] = h.gain
         segments = h.segments(dt, steps)
     preflight(X[:n, :n], dt)
     keep = np.append(np.arange(0, steps, cfg.sample_stride), steps)
     samples = np.empty((keep.size, n), dtype=complex)
-    x = np.append(initial_condition(cfg, shape), 1.0)
-    samples[0] = x[:n]
+    x = initial_condition(cfg, shape)
+    samples[0] = x
+    S = step_map(X, dt)
     for k0, k1, setpoint in segments:
-        if h is not None:
-            X[h.agent - 1, n] = h.gain * setpoint
-        S = step_map(X, dt)
+        x = np.append(x[:n], setpoint)
         for s in (int(cfg.sample_stride), 1):
             f = min((k0 // s + 1) * s, k1) - k0
             m, r = divmod(k1 - k0 - f, s)
@@ -566,12 +591,6 @@ def _sweep_run(n, motion):
     g, shape = ring_chord(n)
     d = design_pipeline(g, shape, motion)
     return d.modified.L_tilde, d.bundle.gains, SimConfig(dt=0.01, t_end=20.0, seed=n), shape
-
-
-def _builtin_run(name):
-    sc = scenario_from_dict(builtin_scenario(name))
-    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
-    return d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape
 
 
 _SAMPLER_RUNS = {
@@ -615,14 +634,25 @@ def test_shared_squares_keep_the_matrix_power_bits(monkeypatch, name, stride):
 
 
 def test_a_stride_10_segment_takes_four_products(monkeypatch):
-    # per heading segment of traveling_heading, on the stride grid: the
-    # squares S^2, S^4, S^8 and T = S^10 = S^2 S^8, which is also S^f
+    # once per run of traveling_heading's five setpoints, all on the stride
+    # grid: the squares S^2, S^4, S^8 and T = S^10 = S^2 S^8, also each S^f
     L_tilde, gains, cfg, shape = _builtin_run("traveling_heading")
     seen, power = [], sim._power
     monkeypatch.setattr(sim, "_power",
                         lambda squares, e: seen.append((len(squares), e)) or power(squares, e))
     exact_trajectory(L_tilde, gains, dataclasses.replace(cfg, sample_stride=10), shape)
-    assert seen == [(4, 10)] * 5
+    assert seen == [(4, 10)]
+
+
+@pytest.mark.parametrize("run, step_map", [(exact_trajectory, "expm"), (integrate, "_rk4_step")])
+def test_a_run_forms_its_step_map_once(monkeypatch, run, step_map):
+    # forty setpoints, one S: a switch sets u in the state [p; u], not X
+    L_tilde, cfg, shape = _forty_setpoints_run()
+    assert len(cfg.heading.segments(cfg.dt, int(round(cfg.t_end / cfg.dt)))) == 40
+    calls, form = [], getattr(sim, step_map)
+    monkeypatch.setattr(sim, step_map, lambda *a: calls.append(a) or form(*a))
+    run(L_tilde, np.ones(shape.n, dtype=complex), cfg, shape)
+    assert len(calls) == 1
 
 
 def _edge_run(stride, untils, steps=40):
@@ -657,7 +687,7 @@ def test_in_place_sampler_keeps_the_matrix_power_bits_property(run):
 
 @pytest.mark.parametrize("run", [exact_trajectory, integrate])
 def test_kept_states_are_the_only_table_of_the_run(run):
-    # the kept states [p; 1] are written once, where they are kept: the run
+    # the kept states [p; u] are written once, where they are kept: the run
     # allocates at most 128 KB beside them (688 KB here)
     L_tilde, gains, cfg, shape = _builtin_run("shaped_consensus_inward")
     tracemalloc.start()
@@ -667,6 +697,31 @@ def test_kept_states_are_the_only_table_of_the_run(run):
     finally:
         tracemalloc.stop()
     assert peak <= traj.times.size * (shape.n + 1) * 16 + 128 * 1024
+
+
+def _many_times_run():
+    # 8001 kept states of 2 agents, the times 1/6 the size of the kept rows; at
+    # stride 2 the certificate, not a per-state test, passes the run
+    cfg = SimConfig(dt=0.01, t_end=160.0, p0=np.array([1, 1j]), sample_stride=2)
+    L_tilde = -np.diag([-0.5, -1.0]).astype(complex)
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
+@pytest.mark.parametrize("run", [exact_trajectory, integrate])
+@pytest.mark.parametrize("make", [functools.partial(_builtin_run, "shaped_consensus_inward"),
+                                  _many_times_run], ids=["shaped", "many_times"])
+def test_times_take_no_cast_buffer_at_the_peak(run, make):
+    # beside the kept rows, the peak holds the times and the kept step indices
+    # (8 bytes a row each) and less than the times' size more: keep * dt casts
+    # the indices to a float buffer the size of the times first
+    L_tilde, gains, cfg, shape = make()
+    tracemalloc.start()
+    try:
+        traj = run(L_tilde, gains, cfg, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - traj.times.size * (shape.n + 1) * 16 - 2 * traj.times.nbytes < traj.times.nbytes
 
 
 @pytest.mark.parametrize("make, products", [
@@ -689,7 +744,7 @@ def test_a_stride_10_run_forms_no_unread_power(monkeypatch, make, products):
 @pytest.mark.parametrize("name, window", [("shaped_consensus_inward", (300.0, 400.0)),
                                           ("traveling_heading", (225.0, 250.0))])
 def test_kept_states_read_as_a_contiguous_copy(tmp_path, name, window):
-    # Trajectory.states is a view of the kept [p; 1] rows, not a copy
+    # Trajectory.states is a view of the kept [p; u] rows, not a copy
     sc = scenario_from_dict(builtin_scenario(name))
     d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
     traj = integrate(d.modified.L_tilde, d.bundle.gains, sc.sim, sc.shape)
