@@ -26,7 +26,7 @@ from .shapes import TOLERANCES
 from .sim import Trajectory, initial_condition, shape_error
 from .spectral import DesignResult, design_pipeline, predict_steady_state
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 _CSV_BYTES = 64 * 1024  # bound on the table rows formatted per write
 
 EXIT_OK = 0
@@ -42,6 +42,10 @@ def _c(z) -> list:
 
 def _cvec(v) -> list:
     return [_c(z) for z in np.asarray(v).ravel()]
+
+
+def _edges(W: np.ndarray, g) -> list:  # [i, j, re, im] of w_ij, j each neighbor of i
+    return [[i, j, *_c(W[i - 1, j - 1])] for i in range(1, g.n + 1) for j in g.neighbors(i)]
 
 
 def _seed(text: str) -> int:
@@ -60,8 +64,8 @@ def build_report(sc: Scenario, design: DesignResult,
         "scenario": sc.name,
         "seeds": {"design": sc.design_seed, "sim": sc.sim.seed},
         "tolerances": TOLERANCES,
-        "weights": [[i, j, *_c(design.bundle.weights[i - 1, j - 1])]
-                    for i in range(1, design.graph.n + 1) for j in design.graph.neighbors(i)],
+        "weights": _edges(design.bundle.weights, design.graph),
+        "modified_weights": _edges(design.modified.weights, design.graph),
         "gains": _cvec(design.bundle.gains),
         "gain_boost": design.boost,
         "eigenvalues_KL": _cvec(design.stability.eigenvalues),

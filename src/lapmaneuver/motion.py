@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SingularGain, ZeroEdgeVector
 from .graphs import FormationGraph
-from .shapes import TOLERANCES, ReferenceShape, laplacian
+from .shapes import ReferenceShape, laplacian
 
 
 @dataclass(frozen=True)
@@ -123,21 +123,16 @@ def compile_motion(g: FormationGraph, shape: ReferenceShape,
 
 @dataclass(frozen=True)
 class ModifiedLaplacian:
-    """L~ = L - kappa~ K^-1 M~ B^T."""
+    """Modified weights w~_ij = w_ij - (kappa~/k_i) mu~_ij and L~, their Laplacian."""
 
+    weights: np.ndarray
     L_tilde: np.ndarray
 
 
-def modified_laplacian(L: np.ndarray, gains: np.ndarray, weights: np.ndarray,
-                       motion: MotionMatrices, spec: MotionSpec) -> ModifiedLaplacian:
-    """Assemble L~ via the matrix formula and cross-check it entrywise
-    against the Laplacian of the modified weights w~_ij = w_ij - (kappa~/k_i) mu~_ij."""
+def modified_laplacian(weights: np.ndarray, gains: np.ndarray, motion: MotionMatrices,
+                       spec: MotionSpec) -> ModifiedLaplacian:
+    """W~ = W - (kappa~/k)[:, None] mu~, formed once, and L~ = laplacian(W~)."""
     if np.any(gains == 0):
         raise SingularGain("gain matrix has a zero diagonal entry")
-    factor = (spec.kappa_tilde / gains)[:, None]
-    L_tilde = L - factor * motion.MBt
-    L_check = laplacian(weights - factor * motion.mu_tilde)
-    scale = max(np.abs(L_tilde).max(), 1.0)
-    if np.abs(L_tilde - L_check).max() > TOLERANCES["assembly_rel"] * scale:
-        raise AssertionError("modified Laplacian assembly paths disagree")
-    return ModifiedLaplacian(L_tilde)
+    W = weights - (spec.kappa_tilde / gains)[:, None] * motion.mu_tilde
+    return ModifiedLaplacian(W, laplacian(W))

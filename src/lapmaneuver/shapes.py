@@ -24,7 +24,6 @@ TOLERANCES = {
     "rank_gap_sv_rel": 1e-6,  # rank check: sigma_{n-2} above, x sigma_1 (rows at unit max)
     "center_rel": 1e-12,  # |sum p*|, x n max|p*|
     "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(KL)
-    "assembly_rel": 1e-12,  # L~ by matrix formula vs by modified weights
     "spectrum_rel": 1e-8,  # verify's residuals, x ||K L~||_F; RK4 pre-flight, clusters, x rho
     "cond_limit": 1e8,  # condition number of an eigenbasis (absolute)
 }

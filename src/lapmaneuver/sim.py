@@ -195,8 +195,8 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     for Q in squares[:(stride - 1).bit_length()]:
         G = G * np.maximum(1.0, np.abs(Q).sum(1).max())
     T = _power(squares, stride)
-    keep = np.append(np.arange(0, steps, stride), steps)  # sampled steps
-    kept = np.empty((keep.size, n + 1), dtype=complex)  # their states [p; u], k * stride in row k
+    count = -(-steps // stride) + 1  # kept row i is step min(i * stride, steps)
+    kept = np.empty((count, n + 1), dtype=complex)  # their states [p; u]
     x = kept[0] = np.append(initial_condition(cfg, shape), 1.0)
     rows = _TABLE_BYTES // x.nbytes  # the most states in one block
     for k0, k1, u in segments:
@@ -228,8 +228,9 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                         raise Diverged("state norm exceeded threshold at "
                                        f"t={(k0 + j + 1 + np.argmin(within.all(1))) * dt:.3f}")
                 if not in_place:  # walked again: copy out the kept states
-                    i0, i1 = np.searchsorted(keep, (k0 + j, k0 + j + len(block)), side="right")
-                    kept[i0:i1] = block[keep[i0:i1] - (k0 + j + 1)]
+                    lo, hi = k0 + j, k0 + j + len(block)  # the block holds steps lo + 1 ... hi
+                    i0, i1 = lo // stride + 1, count if hi == steps else hi // stride + 1
+                    kept[i0:i1] = block[np.minimum(np.arange(i0, i1) * stride, steps) - lo - 1]
             y = block[-1] if m else x  # the last state computed, then the state at k1
             if r:
                 y = _power(squares, r) @ y
@@ -241,8 +242,9 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 kept[-1] = y
             x = y
             break
-    times = keep.astype(float)
-    times *= dt  # in place: no cast buffer beside the times
+    times = np.arange(0, count * stride, stride, dtype=float)  # then in place: no second buffer
+    times[-1] = steps
+    times *= dt
     return Trajectory(times, kept[:, :n])
 
 

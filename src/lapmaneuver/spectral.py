@@ -41,7 +41,6 @@ class SplitCertificate:
     Lyapunov's also to ||X||_F."""
 
     matrix: np.ndarray  # K L~
-    Q: np.ndarray
     B: np.ndarray
     T: np.ndarray
     split_residual: float  # ||B21||
@@ -115,7 +114,7 @@ def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
     X = X / scale
     lo, hi = np.linalg.eigvalsh(X)[[0, -1]]
     cert = SplitCertificate(
-        KL_tilde, Q, B, T,
+        KL_tilde, B, T,
         split_residual=float(np.linalg.norm(B[2:, :2]) / norm),
         motion_residual=float(np.linalg.norm(B[:2, :2] - predicted) / norm),
         lyapunov_residual=float(np.linalg.norm(T.conj().T @ X + X @ T - two)
@@ -238,10 +237,10 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
         raise ExpansionIllConditioned(
             f"eigenvalue {T.diagonal()[gap.min(0).argmin()]:.4g} of K L~ off the shape "
             "plane collides with the moving mode: p(0) has no unique split")
-    x = cert.Q.conj().T @ np.asarray(p0, dtype=complex)
+    Qh = shape.plane[0].conj().T
+    x = Qh @ np.asarray(p0, dtype=complex)
     z = x[:2] - W @ (Z.conj().T @ x[2:]) / scale
-    ones = np.ones(shape.n, dtype=complex)
-    c1, c2 = np.linalg.solve(cert.Q[:, :2].conj().T @ np.column_stack([ones, basis_shape]), z)
+    c1, c2 = np.linalg.solve(Qh[:2] @ np.column_stack([np.ones(shape.n), basis_shape]), z)
     velocity = -c2 * spec.kappa_tilde * motion.uniform_coeff \
         if motion.case == "translation" else 0j
     return SteadyStatePrediction(complex(c1), complex(c2), motion.case, basis_shape, rate, velocity)
@@ -302,7 +301,7 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
                                       boost * stability.eigenvalues)
         gains = gains * boost
         stage = "modified"
-        modified = modified_laplacian(L, gains, weights, motion, spec)
+        modified = modified_laplacian(weights, gains, motion, spec)
         stage = "verify"
         certificate = verify_motion_spectrum(gains[:, None] * modified.L_tilde,
                                              motion, spec, shape)

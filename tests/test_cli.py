@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lapmaneuver import (SpectrumMismatch, Trajectory, builtin_scenario,
-                         design_pipeline, load_scenario, run_scenario)
+                         design_pipeline, laplacian, load_scenario, run_scenario)
 from lapmaneuver import cli
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
@@ -26,9 +26,10 @@ def test_design_writes_report(tmp_path):
     code = main(["design", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["gain_boost"] == 1.0
     assert len(report["weights"]) == 2 * 9  # both orientations of 9 edges
+    assert len(report["modified_weights"]) == len(report["weights"])
     assert len(report["eigenvalues_KL_tilde"]) == 5
     # spectral check summary is echoed with its tolerances and seeds
     assert report["tolerances"]["spectrum_rel"] == 1e-8
@@ -318,6 +319,13 @@ def test_verify_checks_the_shipped_design(tmp_path, capsys):
     assert report["tolerances"] == TOLERANCES  # the table the code reads
     assert report["gain_boost"] == d.boost > 1
     assert f"{report['kappa_tilde_max']:.4g}" == bound
+    # the modified weights the agents run, written with the boosted gains
+    W = np.zeros((sc.graph.n, sc.graph.n), dtype=complex)
+    for i, j, re, im in report["modified_weights"]:
+        W[i - 1, j - 1] = complex(re, im)
+    assert W.tobytes() == d.modified.weights.tobytes()
+    assert not np.array_equal(W, d.bundle.weights)
+    assert laplacian(W).tobytes() == d.modified.L_tilde.tobytes()
     capsys.readouterr()
     assert main(["verify", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

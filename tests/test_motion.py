@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, compile_motion,
-                         design_pipeline, is_two_rooted, laplacian,
-                         modified_laplacian, motion_parameters,
+from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, SingularGain,
+                         compile_motion, design_pipeline, is_two_rooted,
+                         laplacian, modified_laplacian, motion_parameters,
                          synthesize_weights)
 
 from conftest import (incidence_matrix, motion_fields, motion_matrix,
@@ -229,10 +229,9 @@ def test_agent_mode_identity(square):
 
 def _modified(g, shape, spec, seed=0):
     w = synthesize_weights(g, shape, seed)
-    L = laplacian(w)
     gains = np.ones(g.n, dtype=complex)
     mm = compile_motion(g, shape, spec)
-    return L, modified_laplacian(L, gains, w, mm, spec)
+    return laplacian(w), modified_laplacian(w, gains, mm, spec)
 
 
 def test_kappa_tilde_zero_is_identity(square):
@@ -242,14 +241,23 @@ def test_kappa_tilde_zero_is_identity(square):
     assert np.abs(mod.L_tilde - L).max() < 1e-15
 
 
-def test_identity_gain_formula(square):
-    g, shape = square
-    spec = MotionSpec(omega=1.0, kappa_r=0.025, kappa_tilde=2.0)
-    w = synthesize_weights(g, shape, 0)
-    L = laplacian(w)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([random_instance, ring_chord]), st.integers(4, 12),
+       st.integers(0, 2**32 - 1), st.sampled_from(_ORACLE_SPECS))
+def test_laplacian_of_the_modified_weights_is_the_matrix_formula_property(
+        instance, n, seed, spec):
+    # L~ = laplacian(W~) against the paper's L - kappa~ K^-1 M~ B^T, with
+    # complex gains: equal up to the rounding of the row sums
+    g, shape = instance(n, seed)
+    assume(is_two_rooted(g).two_rooted)
+    w = synthesize_weights(g, shape, seed)
+    rng = np.random.default_rng(seed)
+    gains = np.exp(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     mm = compile_motion(g, shape, spec)
-    mod = modified_laplacian(L, np.ones(4, dtype=complex), w, mm, spec)
-    assert np.abs(mod.L_tilde - (L - 2.0 * mm.MBt)).max() < 1e-14
+    mod = modified_laplacian(w, gains, mm, spec)
+    formula = laplacian(w) - (spec.kappa_tilde / gains)[:, None] * mm.MBt
+    assert np.abs(mod.L_tilde - formula).max() <= 1e-12 * max(np.abs(mod.L_tilde).max(), 1.0)
+    assert np.array_equal(mod.L_tilde, laplacian(mod.weights))
 
 
 def test_modified_kernel_keeps_ones():
@@ -258,12 +266,20 @@ def test_modified_kernel_keeps_ones():
                       kappa_t=0.1, kappa_r=0.1, kappa_s=0.1)
     rng = np.random.default_rng(8)
     w = synthesize_weights(g, shape, 8)
-    L = laplacian(w)
     gains = np.exp(rng.standard_normal(6) + 1j * rng.standard_normal(6))
     mm = compile_motion(g, shape, spec)
-    mod = modified_laplacian(L, gains, w, mm, spec)
+    mod = modified_laplacian(w, gains, mm, spec)
     KLt = np.diag(gains) @ mod.L_tilde
     assert np.abs(KLt @ np.ones(6)).max() < 1e-10
+
+
+def test_a_zero_gain_is_refused(square):
+    # the gains come from the caller: k_i = 0 leaves kappa~ / k_i undefined
+    g, shape = square
+    spec = MotionSpec(omega=1.0, kappa_r=0.025)
+    w, mm = synthesize_weights(g, shape, 0), compile_motion(g, shape, spec)
+    with pytest.raises(SingularGain, match="zero diagonal entry"):
+        modified_laplacian(w, np.array([1, 1j, 0, 2], dtype=complex), mm, spec)
 
 
 def test_spec_validation():

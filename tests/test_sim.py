@@ -711,9 +711,9 @@ def _many_times_run():
 @pytest.mark.parametrize("make", [functools.partial(_builtin_run, "shaped_consensus_inward"),
                                   _many_times_run], ids=["shaped", "many_times"])
 def test_times_take_no_cast_buffer_at_the_peak(run, make):
-    # beside the kept rows, the peak holds the times and the kept step indices
-    # (8 bytes a row each) and less than the times' size more: keep * dt casts
-    # the indices to a float buffer the size of the times first
+    # beside the kept rows, the peak holds the times (8 bytes a row) and less
+    # than the times' size more: no array of kept step indices lives beside
+    # them, and the times are formed in place, with no int-to-float cast buffer
     L_tilde, gains, cfg, shape = make()
     tracemalloc.start()
     try:
@@ -721,7 +721,7 @@ def test_times_take_no_cast_buffer_at_the_peak(run, make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - traj.times.size * (shape.n + 1) * 16 - 2 * traj.times.nbytes < traj.times.nbytes
+    assert peak - traj.times.size * (shape.n + 1) * 16 - traj.times.nbytes < traj.times.nbytes
 
 
 @pytest.mark.parametrize("make, products", [

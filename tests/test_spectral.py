@@ -409,7 +409,7 @@ def test_shape_error_settles_within_the_lyapunov_bound(name):
     traj = exact_trajectory(d.modified.L_tilde, d.bundle.gains,
                             dataclasses.replace(sc.sim, heading=None), sc.shape)
     c = d.certificate
-    x2 = np.linalg.norm(traj.states @ c.Q[:, 2:].conj(), axis=1)
+    x2 = np.linalg.norm(traj.states @ d.shape.plane[0][:, 2:].conj(), axis=1)
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.allclose(shape_error(traj.states, sc.shape), x2 / norms, rtol=1e-12, atol=0)
     bound = np.sqrt(c.cond_P) * np.exp(-traj.times / c.max_eig_P) * x2[0]
