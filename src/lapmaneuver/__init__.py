@@ -17,9 +17,8 @@ from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
 from .scenarios import (SCENARIO_NAMES, Scenario, ScenarioResult,
                         builtin_scenario, load_scenario, run_scenario,
                         scenario_from_dict, simulate_scenario)
-from .shapes import (Eigensystem, LaplacianBundle, ReferenceShape,
-                     center_shape, eigensystem, laplacian, stabilize_gains,
-                     synthesize_weights)
+from .shapes import (LaplacianBundle, ReferenceShape, center_shape, laplacian,
+                     stabilize_gains, synthesize_weights)
 from .sim import (HeadingControl, MotionEstimate, SimConfig, Trajectory,
                   exact_trajectory, initial_condition, integrate,
                   measure_motion, shape_error)

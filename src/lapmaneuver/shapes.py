@@ -42,6 +42,8 @@ class ReferenceShape:
         object.__setattr__(self, "p_star", p)
         if p.ndim != 1 or p.size < 2:
             raise DegenerateShape("reference shape needs at least 2 points")
+        if not np.isfinite(p).all():
+            raise DegenerateShape("reference shape must be finite")
         scale = np.abs(p).max()
         if scale == 0:
             raise DegenerateShape("reference shape has zero extent")
@@ -140,60 +142,47 @@ def kernel_rank_ok(L: np.ndarray) -> bool:
                 and s[-3] > TOLERANCES["rank_gap_sv_rel"] * s[0])
 
 
-@dataclass(frozen=True)
-class Eigensystem:
-    """A matrix with the eigenvalues and right eigenvectors of one `eig` call."""
-
-    matrix: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigensystem(A: np.ndarray) -> Eigensystem:
-    return Eigensystem(A, *np.linalg.eig(A))
-
-
 def split_spectrum(ev: np.ndarray) -> np.ndarray:
     """Eigenvalue indices of KL in ascending |lambda|: the kernel pair, which
     spans the shape plane, first."""
     return np.argsort(np.abs(ev))
 
 
-def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
+def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Complex diagonal gains k with min Re of the non-kernel spectrum of KL
-    at least gain_margin_rel * rho(KL), and the eig of that KL; deterministic.
+    at least gain_margin_rel * rho(KL), and the (values, vectors) pair of
+    np.linalg.eig of that KL; deterministic.
     Both sides come from the trial's own eigenvalues, so a scaling of KL, such
     as a larger reference shape makes, leaves a trial's verdict alone.
 
-    K = I is tried first, on eigenvalues alone and decomposed with vectors
-    only if it passes, unless Re tr L < -_TRACE_REL ||L||_F rules it out: the
-    kernel pair adds nothing to tr L, so the non-kernel eigenvalues sum to
-    it and one has Re < 0. Otherwise start from k_i = 1/l_ii (1 where
-    l_ii = 0), a unit diagonal of KL, and ascend the soft-min of
-    Re lambda_j / rho(KL) over the non-kernel spectrum in log-gains, mean real
-    part removed (a uniform scaling leaves the objective alone). The gradient
-    is lambda_j (V^-1)_ji V_ij from the same eig (Burke, Lewis & Overton,
-    Linear Algebra Appl. 351-352, 2002). A step that does not raise the
-    soft-min is halved; below 1e-2 it has stalled, and the temperature is
-    quartered. The first iterate that passes is returned with the eig of its
-    KL = gains[:, None] * L, the record stability_bound reads; else
-    StabilizationFailed after _GAIN_STEPS.
+    K = I is tried first, with one eig of L, unless Re tr L < -_TRACE_REL
+    ||L||_F rules it out: the kernel pair adds nothing to tr L, so the
+    non-kernel eigenvalues sum to it and one has Re < 0. Otherwise start
+    from k_i = 1/l_ii (1 where l_ii = 0), a unit diagonal of KL, and ascend
+    the soft-min of Re lambda_j / rho(KL) over the non-kernel spectrum in
+    log-gains, mean real part removed (a uniform scaling leaves the objective
+    alone). The gradient is lambda_j (V^-1)_ji V_ij from the same eig
+    (Burke, Lewis & Overton, Linear Algebra Appl. 351-352, 2002). A step
+    that does not raise the soft-min is halved; below 1e-2 it has stalled,
+    and the temperature is quartered. The first iterate that passes is
+    returned with the eig of its KL = gains[:, None] * L, the pair
+    stability_bound reads; else StabilizationFailed after _GAIN_STEPS.
     """
     rel = TOLERANCES["gain_margin_rel"]
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
     if not np.trace(L).real < -_TRACE_REL * np.linalg.norm(L):
-        ev = np.linalg.eigvals(KL := k[:, None] * L)  # K = I, its vectors read only if it passes
+        ev, V = np.linalg.eig(L)  # K = I
         if ev[split_spectrum(ev)[2:]].real.min() >= rel * np.abs(ev).max():
-            return k, eigensystem(KL)
+            return k, (ev, V)
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
         trial = k if d is None else k * np.exp(t * d)
-        ev, V = np.linalg.eig(KL := trial[:, None] * L)
+        ev, V = np.linalg.eig(trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
         if lam.real.min() >= rel * rho:
-            return trial, Eigensystem(KL, ev, V)
+            return trial, (ev, V)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
             grad = (lam[:, None] * np.linalg.inv(V)[rest] * V.T[rest]).conj()

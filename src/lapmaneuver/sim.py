@@ -92,6 +92,8 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if not 0 < self.box_factor < np.inf:
             raise ValueError("box_factor must be positive (nonzero) and finite")
+        if self.p0 is not None and not np.isfinite(self.p0).all():
+            raise ValueError("initial condition must be finite")
         if self.p0 is not None and not np.any(self.p0):
             raise ValueError("initial condition is the zero configuration")
         if not 0 < self.divergence_threshold < np.inf:

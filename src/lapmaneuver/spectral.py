@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 from scipy.linalg.lapack import zgees, ztrsyl
 
 from .errors import (ExpansionIllConditioned, NonDiagonalizable, NotTwoRooted,
@@ -24,9 +22,8 @@ from .errors import (ExpansionIllConditioned, NonDiagonalizable, NotTwoRooted,
 from .graphs import FormationGraph, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
-from .shapes import (TOLERANCES, Eigensystem, LaplacianBundle, ReferenceShape,
-                     laplacian, split_spectrum, stabilize_gains,
-                     synthesize_weights)
+from .shapes import (TOLERANCES, LaplacianBundle, ReferenceShape, laplacian,
+                     split_spectrum, stabilize_gains, synthesize_weights)
 
 MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 
@@ -36,9 +33,8 @@ class SplitCertificate:
     """K L~ in the shape-plane basis Q = [Q1 Q2] of `ReferenceShape.plane`:
     B = Q^H (K L~) Q, the triangular T of the complex Schur form
     B22 = Z T Z^H of the block off S, and X = Z^H P Z for the Lyapunov matrix
-    P of B22^H P + P B22 = 2 I. The Schur vectors Z are not kept; `schur_pair`
-    forms (T, Z) on first use. The residuals are relative to ||K L~||_F,
-    Lyapunov's also to ||X||_F."""
+    P of B22^H P + P B22 = 2 I; the Schur vectors Z are never formed. The
+    residuals are relative to ||K L~||_F, Lyapunov's also to ||X||_F."""
 
     matrix: np.ndarray  # K L~
     B: np.ndarray
@@ -59,22 +55,9 @@ class SplitCertificate:
         Q1 starts with a multiple of 1 and K L~ 1 = 0) and of T."""
         return np.concatenate([np.diag(self.B)[:2], np.diag(self.T)])
 
-    @cached_property
-    def schur_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, Z) of B22 = Z T Z^H from one `schur` call, taken on first use;
-        its T has the bits of the certificate's."""
-        return schur(self.B[2:, 2:], output="complex")
-
 
 def _unsorted(_):
     return None
-
-
-@lru_cache(maxsize=None)
-def _zgees_lwork(n: int) -> int:
-    """The workspace zgees asks for on an n x n matrix without Schur vectors;
-    the query reads n alone, so it is made once per n."""
-    return int(zgees(_unsorted, np.zeros((n, n), complex), compute_v=0, lwork=-1)[-2][0].real)
 
 
 def _schur_triangle(A: np.ndarray) -> np.ndarray:
@@ -82,7 +65,8 @@ def _schur_triangle(A: np.ndarray) -> np.ndarray:
     with jobvs = 'N' and the workspace it asks for, as `schur` sizes it, so T
     has the bits of schur(A, output="complex")[0]."""
     A = np.asarray_chkfinite(A)
-    T, *_, info = zgees(_unsorted, A, compute_v=0, lwork=_zgees_lwork(A.shape[0]))
+    lwork = int(zgees(_unsorted, A, compute_v=0, lwork=-1)[-2][0].real)
+    T, *_, info = zgees(_unsorted, A, compute_v=0, lwork=lwork)
     if info:
         raise np.linalg.LinAlgError(f"Schur form not found (zgees info {info})")
     return T
@@ -142,10 +126,11 @@ class StabilityAnalysis:
     eigenvalues: np.ndarray
 
 
-def stability_bound(es: Eigensystem, MBt: np.ndarray,
+def stability_bound(eig: tuple[np.ndarray, np.ndarray], MBt: np.ndarray,
                     shape: ReferenceShape) -> StabilityAnalysis:
     """Sufficient upper bound on kappa~ keeping the non-kernel spectrum of
-    K L~ in the right-half plane, from the eig `es` of KL and MBt = M~ B^T
+    K L~ in the right-half plane, from the (values, vectors) pair `eig` of
+    np.linalg.eig(KL), as the gain rule returns it, and MBt = M~ B^T
     (`MotionMatrices.MBt`); no eig of its own.
 
     T has columns [1, 2^-e p*, non-kernel eigenvectors of KL], so T^-1 (KL) T
@@ -161,9 +146,9 @@ def stability_bound(es: Eigensystem, MBt: np.ndarray,
     Scaling K by h scales Q by 1/h and leaves T^-1 M~ B^T T alone, so the
     bound of hKL is h times the bound of KL.
     """
-    ev = es.values
+    ev, V = eig
     nonkernel = split_spectrum(ev)[2:]
-    J2, W = ev[nonkernel], es.vectors[:, nonkernel]
+    J2, W = ev[nonkernel], V[:, nonkernel]
     close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(ev).max()
     while not (close == close[close.argmax(1)]).all():  # a chain: merge it into one cluster
         close = close @ close
@@ -218,9 +203,12 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
     certificate's split: with x = Q^H p(0) and B11 Y - Y B22 = -B12,
     z = x1 - Y x2 follows z' = -B11 z while x2 decays, so Q1 z is p(0)
     projected on S along the rest, and (c1, c2) its coordinates in
-    [1, basis_shape]. The equation is solved on T (ztrsyl) of the
-    certificate's `schur_pair`, the one place that forms the Schur vectors Z;
-    it fails only if the moving mode -kappa~ s is an eigenvalue off S."""
+    [1, basis_shape]. B11 = [[b1, b12], [0, b2]] is upper triangular
+    (K L~ 1 = 0), so with rows r1, r2 of B12 the equation is two linear
+    solves on B22: Y2 (B22 - b2 I) = r2, then Y1 (B22 - b1 I) = r1 + b12 Y2.
+    It is refused, as ztrsyl refuses it, when some b_i is within
+    eps max(max|B11|, max|T|) of a diagonal of the certificate's T: the
+    moving mode -kappa~ s is then an eigenvalue off S."""
     cert, motion, spec, shape = design.certificate, design.motion, design.spec, design.shape
     basis_shape, rate = shape.p_star, 0j
     if motion.case == "moving":  # eigenvector (c/s) 1 + p* of -kappa~ s
@@ -230,16 +218,19 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
         # the chain K L~ p* = -kappa~ c 1 taken analytically; -p* gives c2 the
         # published sign, velocity = -c2 kappa~ c
         basis_shape = -shape.p_star
-    B, (T, Z) = cert.B, cert.schur_pair
-    W, scale, info = ztrsyl(B[:2, :2], T, -B[:2, 2:] @ Z, isgn=-1)  # W = Y Z
-    if info:
-        gap = np.abs(np.diag(B)[:2, None] - np.diag(T))
+    B, T = cert.B, cert.T
+    b = np.diag(B)[:2]
+    gap = np.abs(b[:, None] - np.diag(T))
+    if gap.min() <= np.finfo(float).eps * max(np.abs(B[:2, :2]).max(), np.abs(T).max()):
         raise ExpansionIllConditioned(
             f"eigenvalue {T.diagonal()[gap.min(0).argmin()]:.4g} of K L~ off the shape "
             "plane collides with the moving mode: p(0) has no unique split")
+    A, eye = B[2:, 2:].T, np.eye(shape.n - 2)
+    Y2 = np.linalg.solve(A - b[1] * eye, B[1, 2:])
+    Y1 = np.linalg.solve(A - b[0] * eye, B[0, 2:] + B[0, 1] * Y2)
     Qh = shape.plane[0].conj().T
     x = Qh @ np.asarray(p0, dtype=complex)
-    z = x[:2] - W @ (Z.conj().T @ x[2:]) / scale
+    z = x[:2] - np.stack([Y1, Y2]) @ x[2:]
     c1, c2 = np.linalg.solve(Qh[:2] @ np.column_stack([np.ones(shape.n), basis_shape]), z)
     velocity = -c2 * spec.kappa_tilde * motion.uniform_coeff \
         if motion.case == "translation" else 0j
@@ -250,8 +241,7 @@ def predict_steady_state(p0: np.ndarray, design: DesignResult) -> SteadyStatePre
 class DesignResult:
     """Everything the end-to-end design produces; `certificate` is the
     shape-plane split of K L~ that stage verify certified, the one
-    decomposition of K L~, which the prediction and the report read (the
-    prediction adds the Schur vectors of its block B22)."""
+    decomposition of K L~, which the prediction and the report read."""
 
     graph: FormationGraph
     shape: ReferenceShape
@@ -285,11 +275,11 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         weights = synthesize_weights(g, shape, seed)
         L = laplacian(weights)
         stage = "gains"
-        gains, KL = stabilize_gains(L)
+        gains, eig = stabilize_gains(L)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
         stage = "stability"
-        stability = stability_bound(KL, motion.MBt, shape)
+        stability = stability_bound(eig, motion.MBt, shape)
         # fl(q) < 2^k, so kappa~ < 2^k b1; a float quotient overflows to inf
         # without a warning, and frexp(inf) reads exponent 0: refused here
         q = spec.kappa_tilde / float(stability.kappa_tilde_max)

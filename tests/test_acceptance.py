@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from lapmaneuver import (FormationGraph, MotionSpec, SimConfig,
-                         design_pipeline, eigensystem, exact_trajectory,
+                         design_pipeline, exact_trajectory,
                          initial_condition, is_connected, is_two_rooted,
                          laplacian, measure_motion, predict_steady_state,
                          run_scenario, shape_error, stability_bound,
@@ -166,7 +166,7 @@ def test_criterion_07_perturbation_bound():
     errs = shape_error(traj.states, shape)
     assert errs[-1] < 1e-10
 
-    doubled = stability_bound(eigensystem(2.0 * base.bundle.KL), base.motion.MBt, shape)
+    doubled = stability_bound(np.linalg.eig(2.0 * base.bundle.KL), base.motion.MBt, shape)
     doubling = doubled.kappa_tilde_max / bound
     assert abs(doubling - 2.0) < 1e-10
     print(f"[criterion 07] perturbation bound: PASS "

@@ -10,8 +10,7 @@ from lapmaneuver import (DegenerateShape, DegenerateWeights, FormationGraph, Inf
                          MotionSpec, PipelineFailed, ReferenceShape, StabilizationFailed,
                          center_shape, design_pipeline, laplacian, shapes, stabilize_gains,
                          synthesize_weights)
-from lapmaneuver.shapes import (_GAIN_STEPS, TOLERANCES, Eigensystem, _draw_weights,
-                                eigensystem, split_spectrum)
+from lapmaneuver.shapes import _GAIN_STEPS, TOLERANCES, _draw_weights, split_spectrum
 
 from conftest import (decagon_graph, decagon_shape, random_instance, ring_chord,
                       square_graph, square_shape)
@@ -42,6 +41,13 @@ def test_center_shape_rejects_coincident():
 def test_uncentered_shape_rejected():
     with pytest.raises(DegenerateShape):
         ReferenceShape(np.array([1 + 0j, 2 + 0j]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 1)])
+def test_non_finite_shape_rejected(bad):
+    # every comparison with NaN reads False, so the other checks let it pass
+    with pytest.raises(DegenerateShape, match="^reference shape must be finite$"):
+        ReferenceShape(np.array([bad, 1, -1]))
 
 
 def test_two_neighbor_formula():
@@ -296,23 +302,23 @@ def test_gain_ascent_stalls_on_random_instance_11_107(seed):
         raise
 
 
-def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, Eigensystem]:
+def reference_stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The gain rule with the K = I trial on every L: the same trials and
     ascent without the trace screen."""
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
     rel = TOLERANCES["gain_margin_rel"]
-    ev = np.linalg.eigvals(KL := k[:, None] * L)
+    ev, V = np.linalg.eig(k[:, None] * L)  # the product: the rule takes eig(L) itself
     if ev[split_spectrum(ev)[2:]].real.min() >= rel * np.abs(ev).max():
-        return k, eigensystem(KL)
+        return k, (ev, V)
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
         trial = k if d is None else k * np.exp(t * d)
-        ev, V = np.linalg.eig(KL := trial[:, None] * L)
+        ev, V = np.linalg.eig(trial[:, None] * L)
         rest = split_spectrum(ev)[2:]
         lam, rho = ev[rest], np.abs(ev).max()
         if lam.real.min() >= rel * rho:
-            return trial, Eigensystem(KL, ev, V)
+            return trial, (ev, V)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
             grad = (lam[:, None] * np.linalg.inv(V)[rest] * V.T[rest]).conj()
@@ -334,10 +340,9 @@ def _assert_gains_match_the_reference(L: np.ndarray) -> None:
         with pytest.raises(StabilizationFailed, match=f"^{re.escape(str(exc))}$"):
             stabilize_gains(L)
         return
-    gains, es = stabilize_gains(L)
+    gains, (ev, V) = stabilize_gains(L)
     assert np.array_equal(gains, expected[0])
-    for field in ("matrix", "values", "vectors"):
-        assert np.array_equal(getattr(es, field), getattr(expected[1], field))
+    assert np.array_equal(ev, expected[1][0]) and np.array_equal(V, expected[1][1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,8 +359,8 @@ def test_gains_match_the_reference_rule_property(instance, seed):
 
 def test_gain_rule_takes_rho_only_where_a_trial_needs_it(monkeypatch):
     # rho(KL) comes from each trial's own decomposition: K = I tried takes
-    # the eigvals of L first (and its eig only if it passes), skipped makes
-    # no eigvals call at all
+    # one eig of L, passed or refused, and skipped takes none; no trial
+    # calls eigvals
     calls = []
     for name in ("eig", "eigvals"):
         fn = getattr(np.linalg, name)
@@ -371,12 +376,15 @@ def test_gain_rule_takes_rho_only_where_a_trial_needs_it(monkeypatch):
         calls.clear()
         gains, _ = stabilize_gains(A)
         names = [name for name, _ in calls]
-        if names[0] == "eigvals":
-            assert names.count("eigvals") == 1 and np.array_equal(calls[0][1], A)
-            passed = np.array_equal(gains, np.ones(A.shape[0]))
-            paths.add("K = I passes" if passed else "K = I refused")
-        else:
-            assert "eigvals" not in names and np.trace(A).real < 0
+        assert set(names) == {"eig"}
+        of_L = sum(np.array_equal(M, A) for _, M in calls)
+        if np.trace(A).real < 0:
+            assert of_L == 0
             paths.add("K = I skipped")
+        else:
+            assert of_L == 1 and np.array_equal(calls[0][1], A)
+            passed = np.array_equal(gains, np.ones(A.shape[0]))
+            assert passed == (len(calls) == 1)
+            paths.add("K = I passes" if passed else "K = I refused")
         _assert_gains_match_the_reference(A)
     assert paths == {"K = I passes", "K = I refused", "K = I skipped"}

@@ -240,6 +240,12 @@ def test_zero_initial_condition_refused(kwargs):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0)])
+def test_non_finite_initial_condition_refused(bad):
+    with pytest.raises(ValueError, match="^initial condition must be finite$"):
+        SimConfig(p0=np.array([bad, 1, -1, 0]))
+
+
 def test_negative_box_factor_refused():
     # a negative half width leaves no box to draw the initial condition from
     with pytest.raises(ValueError, match="^box_factor must be positive"):
