@@ -2,9 +2,9 @@
 
 Every `--scenario` file is read once, before any work, and the files that
 parse run one after another in one process; the largest exit code wins.
-Exit codes: 0 ok, 1 infeasible design, 2 parse error (a malformed file, a
-non-finite number, a bad value), an --out that is not a usable directory or
-an output path the run would write twice, 3 diverged, 4 verification failure.
+Exit codes: 0 ok, 1 infeasible design or report, 2 parse error (a malformed file,
+a non-finite number, a bad value), an --out that is not a usable directory or an
+output path the run would write twice, 3 diverged, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Diverged, PipelineFailed, ScenarioError, SpectrumMismatch
+from .errors import Diverged, FormationError, PipelineFailed, ScenarioError, SpectrumMismatch
 from .scenarios import Scenario, load_scenario, simulate_scenario
 from .shapes import TOLERANCES
 from .sim import Trajectory, initial_condition, shape_error
@@ -157,6 +157,9 @@ def _run_one(handler, sc: Scenario, paths: list) -> int:
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except FormationError as exc:  # raised past the pipeline, while the report is built
+        print(f"failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

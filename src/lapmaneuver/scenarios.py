@@ -120,7 +120,7 @@ def _parse(doc: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"invalid motion spec: {exc}") from exc
 
-    readers = {"dt": _number, "t_end": _number, "seed": _integer, "box_factor": _number,
+    readers = {"dt": _number, "t_end": _number, "seed": _integer,
                "divergence_threshold": _number, "sample_stride": _integer}
     sd = _object(doc.get("sim", {}), "sim", "", "initial_condition heading_control method "
                  + " ".join(readers))

@@ -29,6 +29,7 @@ from .errors import Diverged, NotConverged, StepUnstable, ZeroState
 from .shapes import TOLERANCES, ReferenceShape
 
 _TABLE_BYTES = 256 * 1024  # bound on one block of states [p; u]
+_BOX = 2.0  # half width of the random start box, in multiples of the shape's radius
 _RK4 = (1 / 24, 1 / 6, 1 / 2, 1, 1)  # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
 
 
@@ -74,7 +75,6 @@ class SimConfig:
     t_end: float = 10.0
     p0: Optional[np.ndarray] = None
     seed: int = 0
-    box_factor: float = 2.0  # random-box half width as multiple of shape radius
     divergence_threshold: float = 1e9
     sample_stride: int = 1
     heading: Optional[HeadingControl] = None
@@ -90,8 +90,6 @@ class SimConfig:
             raise ValueError("sample_stride must be an integer >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 0 < self.box_factor < np.inf:
-            raise ValueError("box_factor must be positive (nonzero) and finite")
         if self.p0 is not None and not np.isfinite(self.p0).all():
             raise ValueError("initial condition must be finite")
         if self.p0 is not None and not np.any(self.p0):
@@ -126,7 +124,7 @@ def initial_condition(cfg: SimConfig, shape: ReferenceShape) -> np.ndarray:
             raise ValueError("initial condition size mismatch")
         return p0
     rng = np.random.default_rng(cfg.seed)
-    hw = cfg.box_factor * shape.radius()
+    hw = _BOX * shape.radius()
     return rng.uniform(-hw, hw, shape.n) + 1j * rng.uniform(-hw, hw, shape.n)
 
 
@@ -279,7 +277,9 @@ def shape_error(p: np.ndarray, shape: ReferenceShape) -> float | np.ndarray:
     """Relative distance ||Q2^H p|| / ||p|| of a configuration from the shape
     plane span{1, p*}, Q2 the columns of `ReferenceShape.plane` off it: a
     float for one configuration, an array for the rows of a 2-D array."""
-    p = np.asarray(p, dtype=complex)
+    # rows times 2^-e, 2^(e-1) <= max |Re|, |Im| < 2^e: exact, and no norm under- or overflows
+    v = np.array(p, dtype=complex).view(float)  # a copy, scaled in place
+    p = np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1], out=v).view(complex)
     norms = np.linalg.norm(p, axis=-1)
     if not norms.all():
         raise ZeroState("shape error undefined for the zero configuration")

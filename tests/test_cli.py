@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lapmaneuver import (SpectrumMismatch, Trajectory, builtin_scenario,
-                         design_pipeline, laplacian, load_scenario, run_scenario)
+from lapmaneuver import (ExpansionIllConditioned, SpectrumMismatch, Trajectory,
+                         builtin_scenario, design_pipeline, laplacian, load_scenario,
+                         run_scenario)
 from lapmaneuver import cli
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
@@ -178,6 +179,7 @@ UNKNOWN_KEYS = {  # one misspelt key per level of a scenario file, by its path
     "graph.m": lambda d: d["graph"].update(m=5),
     "motion.kappa_tlide": lambda d: d["motion"].update(kappa_tlide=50),
     "sim.t_edn": lambda d: d["sim"].update(t_edn=1),
+    "sim.box_factor": lambda d: d["sim"].update(box_factor=2.0),  # the start box is fixed
     "sim.heading_control.gian": lambda d: d["sim"]["heading_control"].update(gian=2.0),
     "sim.heading_control.schedule[1].untl":
         lambda d: d["sim"]["heading_control"]["schedule"][1].update(untl=75.0),
@@ -235,7 +237,6 @@ NUMBER_FIELDS = {
     "motion.kappa_tilde": lambda d, v: d["motion"].update(kappa_tilde=v),
     "seed": lambda d, v: d.update(seed=v),
     "sim.sample_stride": lambda d, v: d["sim"].update(sample_stride=v),
-    "sim.box_factor": lambda d, v: d["sim"].update(box_factor=v),
     "sim.divergence_threshold": lambda d, v: d["sim"].update(divergence_threshold=v),
     "heading_control.gain": lambda d, v: d["sim"]["heading_control"].update(gain=v),
     "heading_control.schedule.until":
@@ -354,6 +355,30 @@ def test_verify_failure_exit_4(tmp_path, capsys, monkeypatch):
     code = main(["verify", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 4
     assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_a_report_that_cannot_be_formed_exit_1(tmp_path, capsys, monkeypatch, command):
+    # a FormationError raised past the pipeline, while the report is built
+    def refused(*args):
+        raise ExpansionIllConditioned("injected collision")
+
+    monkeypatch.setattr(cli, "predict_steady_state", refused)
+    path = _write(tmp_path, "enclosing", FAST)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "failed: ExpansionIllConditioned: injected collision\n"
+
+
+def test_a_tiny_shape_simulates(tmp_path):
+    # |p|^2 underflows at this scale, and the shape error must not read the
+    # configuration as zero
+    doc = builtin_scenario("enclosing", {"sim": {"t_end": 10.0}})
+    doc["shape"] = [[1e-170 * x, 1e-170 * y] for x, y in doc["shape"]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "report.json").read_text())["metrics"]
+    assert 0 < metrics["final_shape_error"] <= metrics["max_shape_error"] < 1
 
 
 @pytest.mark.parametrize("seed", ["-1", "x"])

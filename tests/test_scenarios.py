@@ -119,8 +119,7 @@ def test_load_scenario_bad_json(tmp_path):
 @pytest.mark.parametrize("key, value", [("dt", math.nan), ("dt", math.inf),
                                         ("t_end", math.inf), ("t_end", math.nan),
                                         ("divergence_threshold", math.nan),
-                                        ("divergence_threshold", math.inf),
-                                        ("box_factor", math.nan), ("box_factor", math.inf)])
+                                        ("divergence_threshold", math.inf)])
 def test_non_finite_sim_times_rejected(key, value):
     # a NaN divergence threshold would switch the divergence check off
     with pytest.raises(ValueError, match=f"^{key} must be .*finite"):

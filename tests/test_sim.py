@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, Diverged, HeadingControl, MotionSpec,
-                         NotConverged, ScenarioError, SimConfig, StepUnstable, Trajectory,
+                         NotConverged, SimConfig, StepUnstable, Trajectory,
                          ZeroState, builtin_scenario, center_shape,
                          design_pipeline, exact_trajectory, initial_condition,
                          integrate, measure_motion, scenario_from_dict,
@@ -177,7 +177,7 @@ def test_deterministic_for_seed(square):
 
 def test_initial_condition_box(square):
     _, shape = square
-    cfg = SimConfig(dt=0.01, t_end=1.0, seed=4, box_factor=2.0)
+    cfg = SimConfig(dt=0.01, t_end=1.0, seed=4)
     p0 = initial_condition(cfg, shape)
     hw = 2.0 * shape.radius()
     assert np.abs(p0.real).max() <= hw and np.abs(p0.imag).max() <= hw
@@ -216,6 +216,21 @@ def test_shape_error_zero_state(square):
         shape_error(np.zeros(4), shape)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_shape_error_is_scale_free(square, scale):
+    # |p|^2 underflows below about 1e-162 and overflows above about 1e154
+    # (with a warning, which the test suite turns into an error)
+    _, shape = square
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    errs = shape_error(scale * rows, shape)
+    assert shape_error(scale * rows[0], shape) == errs[0]
+    assert np.abs(errs - shape_error(rows, shape)).max() < 1e-12 * errs.max()
+    rows[1] = 0  # only an exactly zero row has no shape error
+    with pytest.raises(ZeroState):
+        shape_error(scale * rows, shape)
+
+
 def test_shape_error_of_an_array_is_the_error_of_each_row(square):
     _, shape = square
     rng = np.random.default_rng(2)
@@ -232,11 +247,10 @@ def test_shape_error_of_an_array_is_the_error_of_each_row(square):
             shape_error(states, shape)
 
 
-@pytest.mark.parametrize("kwargs", [{"p0": np.zeros(4, dtype=complex)}, {"box_factor": 0.0}],
-                         ids=["zero p0", "zero box"])
+@pytest.mark.parametrize("kwargs", [{"p0": np.zeros(4, dtype=complex)}], ids=["zero p0"])
 def test_zero_initial_condition_refused(kwargs):
     # the zero configuration has no shape error: report.json would read NaN
-    with pytest.raises(ValueError, match="zero configuration|nonzero"):
+    with pytest.raises(ValueError, match="zero configuration"):
         SimConfig(**kwargs)
 
 
@@ -244,14 +258,6 @@ def test_zero_initial_condition_refused(kwargs):
 def test_non_finite_initial_condition_refused(bad):
     with pytest.raises(ValueError, match="^initial condition must be finite$"):
         SimConfig(p0=np.array([bad, 1, -1, 0]))
-
-
-def test_negative_box_factor_refused():
-    # a negative half width leaves no box to draw the initial condition from
-    with pytest.raises(ValueError, match="^box_factor must be positive"):
-        SimConfig(box_factor=-1.0)
-    with pytest.raises(ScenarioError, match="invalid sim config: box_factor"):
-        scenario_from_dict(builtin_scenario("enclosing", {"sim": {"box_factor": -1}}))
 
 
 def test_measure_rotation(square):
