@@ -20,12 +20,12 @@ from .graphs import FormationGraph
 # Every threshold that decides pass/fail, read at its use site and written
 # to report.json as is. Each is relative to the scale named beside it.
 TOLERANCES = {
-    "kernel_sv_rel": 1e-10,  # rank check: sigma_{n-1} below, x sigma_1 (rows at unit max)
-    "rank_gap_sv_rel": 1e-6,  # rank check: sigma_{n-2} above, x sigma_1 (rows at unit max)
+    "kernel_sv_rel": 1e-10,  # rank check: sigma_{n-1} of L below, x sigma_1
+    "rank_gap_sv_rel": 1e-6,  # rank check: sigma_{n-2} of L above, x sigma_1
     "center_rel": 1e-12,  # |sum p*|, x n max|p*|
     "gain_margin_rel": 1e-6,  # min Re of the non-kernel spectrum of KL, x rho(KL)
     "spectrum_rel": 1e-8,  # verify's residuals, x ||K L~||_F; RK4 pre-flight, clusters, x rho
-    "cond_limit": 1e8,  # condition number of an eigenbasis (absolute)
+    "cond_limit": 1e8,  # cond of the bound's eigenbasis Q2^H W (absolute)
 }
 _GAIN_STEPS = 500  # ascent steps in stabilize_gains, one eig of KL each
 _TRACE_REL = 1e-6  # Re tr L below -this x ||L||_F skips the K = I trial (far above rounding)
@@ -82,10 +82,10 @@ def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
                        seed: int) -> np.ndarray:
     """Choose weights so each row of L annihilates both 1 and p*.
 
-    Two-neighbor rows use the closed form (w_ij, w_ik) = (z*_ik, -z*_ij);
-    larger rows draw a random element of the row null space from
-    default_rng(seed). The global rank n-2 condition is verified afterwards,
-    once: DegenerateWeights if it fails.
+    Two-neighbor rows use the closed form (w_ij, w_ik) = (z*_ik, -z*_ij),
+    larger rows a random element of the row null space from default_rng(seed);
+    every row is then scaled to unit max, free of the shape's unit. The global
+    rank n-2 condition is verified afterwards, once: DegenerateWeights if not.
     """
     if shape.n != g.n:
         raise ValueError("shape size does not match graph")
@@ -97,7 +97,7 @@ def synthesize_weights(g: FormationGraph, shape: ReferenceShape,
 
 def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
     """Rows by degree: one stacked SVD per degree gives the null spaces of the
-    1 x m rows [z*_ij1 ... z*_ijm]; the coefficients are drawn in node order."""
+    1 x m rows [z*_ij1 ... z*_ijm]; coefficients drawn in node order, rows at unit max."""
     nbrs = [g.neighbors(i) for i in range(1, g.n + 1)]
     deg = np.array([len(a) for a in nbrs])
     first, owner = np.cumsum(deg) - deg, np.repeat(np.arange(g.n), deg)
@@ -117,11 +117,11 @@ def _draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
         edges = first[rows, None] + np.arange(m)
         Z = z[edges]
         if m == 2:  # closed form (w_ij, w_ik) = (z*_ik, -z*_ij)
-            W[rows[:, None], cols[edges]] = np.column_stack([Z[:, 1], -Z[:, 0]])
-            continue
-        basis = np.linalg.svd(Z[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
-        at = start[rows, None] + np.arange(m - 1)
-        row = (basis @ (x[at] + 1j * x[at + m - 1])[..., None])[..., 0]
+            row = np.column_stack([Z[:, 1], -Z[:, 0]])
+        else:
+            basis = np.linalg.svd(Z[:, None, :])[2][:, 1:].conj().transpose(0, 2, 1)
+            at = start[rows, None] + np.arange(m - 1)
+            row = (basis @ (x[at] + 1j * x[at + m - 1])[..., None])[..., 0]
         W[rows[:, None], cols[edges]] = row / np.abs(row).max(axis=1, keepdims=True)
     return W
 
@@ -134,10 +134,9 @@ def laplacian(W: np.ndarray) -> np.ndarray:
 
 
 def kernel_rank_ok(L: np.ndarray) -> bool:
-    """Rank n-2 of L with its rows at unit max (a closed-form row carries the
-    shape's scale, which the kernel does not see): a two-dimensional null
-    space separated by a singular-value gap."""
-    s = np.linalg.svd(L / np.abs(L).max(axis=1, keepdims=True), compute_uv=False)
+    """Rank n-2 of L, whose weight rows are at unit max: a two-dimensional
+    null space separated by a singular-value gap."""
+    s = np.linalg.svd(L, compute_uv=False)
     return bool(s[-2] < TOLERANCES["kernel_sv_rel"] * s[0]
                 and s[-3] > TOLERANCES["rank_gap_sv_rel"] * s[0])
 

@@ -10,9 +10,9 @@ of T = S^s, and S^r reaches the end, all products of one list of squares
 S^(2^b). Each kept state is written once, in the run's one buffer of rows
 [p; u], whose first n columns are Trajectory.states. A skipped state is at
 most G ||y||_inf, G = prod max(1, ||S^(2^b)||_inf) over 2^b < s, y a state
-computed; a segment passes if that is within the threshold, else it is walked
-again with s = 1 in a bounded table of its own, testing every state: Diverged
-names the first bad step. `integrate` first refuses an RK4-unstable dt.
+computed; a segment passes if that is within divergence_threshold max|p(0)|,
+else is walked again with s = 1 in a bounded table of its own, testing every
+state: Diverged names the first bad step. `integrate` refuses an RK4-unstable dt.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class SimConfig:
     t_end: float = 10.0
     p0: Optional[np.ndarray] = None
     seed: int = 0
-    divergence_threshold: float = 1e9
+    divergence_threshold: float = 1e9  # x max |p(0)|
     sample_stride: int = 1
     heading: Optional[HeadingControl] = None
 
@@ -179,7 +179,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
-    segments = [(0, steps, 1.0)]  # (first step, end, setpoint u), zero-order hold
+    segments = [(0, steps, 0.0)]  # (first step, end, setpoint u), zero-order hold; no input: 0
     if h is not None:
         if max(h.agent, h.neighbor) > n:
             raise ValueError(f"heading agent/neighbor out of range for {n} agents")
@@ -197,7 +197,8 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     T = _power(squares, stride)
     count = -(-steps // stride) + 1  # kept row i is step min(i * stride, steps)
     kept = np.empty((count, n + 1), dtype=complex)  # their states [p; u]
-    x = kept[0] = np.append(initial_condition(cfg, shape), 1.0)
+    x = kept[0] = np.append(initial_condition(cfg, shape), 0.0)
+    limit = cfg.divergence_threshold * np.abs(x[:n]).max()  # in the start's unit, not the shape's
     rows = _TABLE_BYTES // x.nbytes  # the most states in one block
     for k0, k1, u in segments:
         x = np.append(x[:n], u)  # the state at k0, holding the segment's setpoint
@@ -223,7 +224,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 if j:  # the block before times T^L, in its kept rows or a new table
                     block = np.matmul(block[:m - j], P.T, out=table[j:j + L] if in_place else None)
                 if s == 1:
-                    within = np.abs(block[:, :n]) <= cfg.divergence_threshold  # False for NaN, inf
+                    within = np.abs(block[:, :n]) <= limit  # False for NaN, inf
                     if not within.all():  # one test per block, then find the first bad step
                         raise Diverged("state norm exceeded threshold at "
                                        f"t={(k0 + j + 1 + np.argmin(within.all(1))) * dt:.3f}")
@@ -236,7 +237,7 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 y = _power(squares, r) @ y
             if s > 1:  # a skipped state is S^i z, i < s, z = x or one since: |.| <= G sqrt(2) big
                 big = np.max([_peak(z) for z in (x, table, y)])
-                if not G * np.sqrt(2) * big <= cfg.divergence_threshold:  # False for NaN
+                if not G * np.sqrt(2) * big <= limit:  # False for NaN
                     continue  # walk the segment again
             if r and k1 == steps:
                 kept[-1] = y

@@ -118,8 +118,8 @@ def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
 
 @dataclass(frozen=True)
 class StabilityAnalysis:
-    """Similarity transform and the speed gain bound, with the full spectrum
-    of the KL they certify."""
+    """Eigenbasis Q2^H W of the bound, the speed gain bound, and the full
+    spectrum of the KL they certify."""
 
     T: np.ndarray
     kappa_tilde_max: float
@@ -133,18 +133,18 @@ def stability_bound(eig: tuple[np.ndarray, np.ndarray], MBt: np.ndarray,
     np.linalg.eig(KL), as the gain rule returns it, and MBt = M~ B^T
     (`MotionMatrices.MBt`); no eig of its own.
 
-    T has columns [1, 2^-e p*, non-kernel eigenvectors of KL], so T^-1 (KL) T
-    is block diagonal with a zero 2x2 leading block and a diagonal J2. The
-    p* column is brought to the unit scale of the others, 2^(e-1) <= max|p*|
-    < 2^e, for cond(T); a power of two is exact, so the trailing block below
-    does not depend on it. With Q = diag(1/Re(lambda)) the Lyapunov identity
-    Q J2 + J2^H Q = 2 I holds exactly and the bound is
-    1 / ||Q (T^-1 M~ B^T T)_(trailing block)||_2.
+    KL and M~ B^T map S = span{1, p*} into S, so in the basis Q = [Q1 Q2] of
+    `ReferenceShape.plane` both are block upper triangular, and T = Q2^H W, W
+    the non-kernel eigenvectors of KL, diagonalizes the trailing block of KL:
+    T^-1 Q2^H (KL) Q2 T = J2. With Q = diag(1/Re(lambda)) the Lyapunov identity
+    Q J2 + J2^H Q = 2 I holds exactly and the bound, free of the shape's unit,
+    is 1 / ||Q T^-1 (Q2^H M~ B^T Q2) T||_2: the trailing block of the paper's
+    T^-1 M~ B^T T in its basis T = [1, p*, W].
     The eigenvectors of a cluster (eigenvalues within spectrum_rel * rho, a
     chain of such pairs merged into one) are orthonormalized; Q is constant
     on it, so the bound is free of eig's basis.
-    Scaling K by h scales Q by 1/h and leaves T^-1 M~ B^T T alone, so the
-    bound of hKL is h times the bound of KL.
+    Scaling K by h scales Q by 1/h and leaves T alone, so the bound of hKL is
+    h times the bound of KL.
     """
     ev, V = eig
     nonkernel = split_spectrum(ev)[2:]
@@ -157,8 +157,8 @@ def stability_bound(eig: tuple[np.ndarray, np.ndarray], MBt: np.ndarray,
         c = np.flatnonzero(size == k)
         c = c[np.argsort(first[c], kind="stable")].reshape(-1, k)
         W[:, c] = np.linalg.qr(W[:, c].transpose(1, 0, 2))[0].transpose(1, 0, 2)
-    unit_p = shape.p_star * 2.0 ** -math.frexp(shape.radius())[1]
-    T = np.column_stack([np.ones(ev.size, dtype=complex), unit_p, W])
+    Q2 = shape.plane[0][:, 2:]
+    T = Q2.conj().T @ W
     sv = np.linalg.svd(T, compute_uv=False)
     with np.errstate(divide="ignore"):
         cond = sv[0] / sv[-1]  # inf for a singular T
@@ -170,8 +170,7 @@ def stability_bound(eig: tuple[np.ndarray, np.ndarray], MBt: np.ndarray,
     if np.any(J2.real <= 0):
         raise ValueError("non-kernel spectrum of KL is not in the right-half plane")
     Q = 1.0 / J2.real
-
-    pert = np.linalg.solve(T, MBt @ T)[2:, 2:]
+    pert = np.linalg.solve(T, Q2.conj().T @ MBt @ Q2 @ T)
     norm = np.linalg.svd(Q[:, None] * pert, compute_uv=False).max(initial=0.0)
     bound = math.inf if norm == 0 else 1.0 / norm
     return StabilityAnalysis(T, bound, ev)

@@ -94,7 +94,8 @@ def test_coincident_neighbors_rejected():
 
 def per_node_draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.ndarray:
     """Row by row in node order: the closed form for two neighbors, else the
-    null space of the 1 x m row from its own SVD and 2 (m - 1) fresh normals."""
+    null space of the 1 x m row from its own SVD and 2 (m - 1) fresh normals;
+    every row then at unit max."""
     W = np.zeros((g.n, g.n), dtype=complex)
     for i in range(1, g.n + 1):
         nbrs = g.neighbors(i)
@@ -104,12 +105,12 @@ def per_node_draw_weights(g: FormationGraph, shape: ReferenceShape, rng) -> np.n
         if np.any(z == 0):
             raise InfeasibleRow(f"node {i} has a coincident neighbor position")
         if len(nbrs) == 2:
-            W[i - 1, np.subtract(nbrs, 1)] = z[1], -z[0]
-            continue
-        _, _, vh = np.linalg.svd(z.reshape(1, -1))
-        basis = vh[1:].conj().T
-        row = basis @ (rng.standard_normal(basis.shape[1])
-                       + 1j * rng.standard_normal(basis.shape[1]))
+            row = np.array([z[1], -z[0]])
+        else:
+            _, _, vh = np.linalg.svd(z.reshape(1, -1))
+            basis = vh[1:].conj().T
+            row = basis @ (rng.standard_normal(basis.shape[1])
+                           + 1j * rng.standard_normal(basis.shape[1]))
         W[i - 1, np.subtract(nbrs, 1)] = row / np.abs(row).max()
     return W
 
@@ -289,24 +290,22 @@ def test_gains_are_deterministic_with_a_real_margin_property(instance, seed, sca
     assert ev[split_spectrum(ev)[2:]].real.min() >= margin
 
 
-_KEEPS_THE_UNIT = pytest.mark.xfail(strict=True, reason=(
-    "FOUND: the K = I gain trial keeps the shape's unit; ROADMAP item 7 mends it"))
-
-
-@pytest.mark.parametrize("name", [pytest.param(name, marks=_KEEPS_THE_UNIT)
-                                  if name == "traveling_heading" else name
-                                  for name in SCENARIO_NAMES])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_gain_rule_is_free_of_the_shapes_unit(name):
-    # the shape x 2^20 or x 2^-20 scales every weight exactly, so the gain
-    # rule's KL should keep its spectral radius; traveling_heading passes
-    # the K = I trial, whose two-neighbour rows carry the shape's scale
+    # the shape x 2^20 or x 2^-20 leaves every unit-max weight row, and so the
+    # gain rule's KL, its spectral radius and the bound's basis Q2^H W alone;
+    # the bound of a translation (mu~ ~ c / z*) is in the shape's unit
     sc = scenario_from_dict(builtin_scenario(name))
-    rho = []
+    rho, bound, cond = [], [], []
     for scale in (1.0, 2.0**20, 2.0**-20):
         d = design_pipeline(sc.graph, ReferenceShape(scale * sc.shape.p_star), sc.spec,
                             seed=sc.design_seed)
+        unit = scale if sc.spec.v_star else 1.0
         rho.append(np.abs(np.linalg.eigvals(d.bundle.KL / d.boost)).max())
-    assert rho[1:] == pytest.approx([rho[0]] * 2, rel=1e-12)
+        bound.append(d.stability.kappa_tilde_max / (d.boost * unit))
+        cond.append(np.linalg.cond(d.stability.T))
+    for values in (rho, bound, cond):
+        assert values[1:] == pytest.approx([values[0]] * 2, rel=1e-12)
 
 
 @pytest.mark.xfail(strict=True, raises=PipelineFailed,
