@@ -27,7 +27,7 @@ TOLERANCES = {
     "spectrum_rel": 1e-8,  # verify's residuals, x ||K L~||_F; RK4 pre-flight, clusters, x rho
     "cond_limit": 1e8,  # cond of the bound's eigenbasis Q2^H W (absolute)
 }
-_GAIN_STEPS = 500  # ascent steps in stabilize_gains, one eig of KL each
+_GAIN_STEPS = 500  # ascent steps in stabilize_gains, one eig of B22(KL) each
 _TRACE_REL = 1e-6  # Re tr L below -this x ||L||_F skips the K = I trial (far above rounding)
 
 
@@ -141,50 +141,55 @@ def kernel_rank_ok(L: np.ndarray) -> bool:
                 and s[-3] > TOLERANCES["rank_gap_sv_rel"] * s[0])
 
 
-def split_spectrum(ev: np.ndarray) -> np.ndarray:
-    """Eigenvalue indices of KL in ascending |lambda|: the kernel pair, which
-    spans the shape plane, first."""
-    return np.argsort(np.abs(ev))
+def nonkernel_eigenvalues(KL: np.ndarray, shape: ReferenceShape) -> tuple[np.ndarray, np.ndarray]:
+    """The n - 2 eigenvalues lambda of KL off its kernel S = span{1, p*}, and
+    unit eigenvectors Z in the basis Q of `ReferenceShape.plane`: KL Q1 = 0, so
+    Q^H KL Q = [[0, B12], [0, B22]], and eig B22 Y = Y diag(lambda) gives
+    KL (Q Z) = (Q Z) diag(lambda) for Z = [B12 Y / lambda; Y]."""
+    Q = shape.plane[0]
+    B = Q.conj().T @ KL @ Q[:, 2:]
+    lam, Y = np.linalg.eig(B[2:])
+    Z = np.vstack([B[:2] @ Y / lam, Y])
+    return lam, Z / np.linalg.norm(Z, axis=0)
 
 
-def stabilize_gains(L: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> tuple[np.ndarray, tuple]:
     """Complex diagonal gains k with min Re of the non-kernel spectrum of KL
-    at least gain_margin_rel * rho(KL), and the (values, vectors) pair of
-    np.linalg.eig of that KL; deterministic.
+    at least gain_margin_rel * rho(KL), and the `nonkernel_eigenvalues` pair
+    (lambda, Z) of that KL, which stability_bound reads; deterministic.
     Both sides come from the trial's own eigenvalues, so a scaling of KL, such
     as a larger reference shape makes, leaves a trial's verdict alone.
 
-    K = I is tried first, with one eig of L, unless Re tr L < -_TRACE_REL
+    K = I is tried first, with one eig of B22(L), unless Re tr L < -_TRACE_REL
     ||L||_F rules it out: the kernel pair adds nothing to tr L, so the
     non-kernel eigenvalues sum to it and one has Re < 0. Otherwise start
     from k_i = 1/l_ii (1 where l_ii = 0), a unit diagonal of KL, and ascend
     the soft-min of Re lambda_j / rho(KL) over the non-kernel spectrum in
     log-gains, mean real part removed (a uniform scaling leaves the objective
-    alone). The gradient is lambda_j (V^-1)_ji V_ij from the same eig
-    (Burke, Lewis & Overton, Linear Algebra Appl. 351-352, 2002). A step
-    that does not raise the soft-min is halved; below 1e-2 it has stalled,
-    and the temperature is quartered. The first iterate that passes is
-    returned with the eig of its KL = gains[:, None] * L, the pair
-    stability_bound reads; else StabilizationFailed after _GAIN_STEPS.
+    alone). The gradient is lambda_j (Z2^-1 Q2^H)_ji (Q Z)_ij, Z2 = Z[2:], with
+    Z2^-1 Q2^H the left eigenvectors off the kernel (Burke, Lewis & Overton,
+    Linear Algebra Appl. 351-352, 2002). A step that does not raise the
+    soft-min is halved; below 1e-2 it has stalled, and the temperature is
+    quartered. The first iterate that passes is returned with its pair; else
+    StabilizationFailed after _GAIN_STEPS.
     """
-    rel = TOLERANCES["gain_margin_rel"]
+    rel, (Q, _) = TOLERANCES["gain_margin_rel"], shape.plane
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
     if not np.trace(L).real < -_TRACE_REL * np.linalg.norm(L):
-        ev, V = np.linalg.eig(L)  # K = I
-        if ev[split_spectrum(ev)[2:]].real.min() >= rel * np.abs(ev).max():
-            return k, (ev, V)
+        lam, Z = nonkernel_eigenvalues(L, shape)  # K = I
+        if lam.real.min() >= rel * np.abs(lam).max():
+            return k, (lam, Z)
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
         trial = k if d is None else k * np.exp(t * d)
-        ev, V = np.linalg.eig(trial[:, None] * L)
-        rest = split_spectrum(ev)[2:]
-        lam, rho = ev[rest], np.abs(ev).max()
+        lam, Z = nonkernel_eigenvalues(trial[:, None] * L, shape)
+        rho = np.abs(lam).max()
         if lam.real.min() >= rel * rho:
-            return trial, (ev, V)
+            return trial, (lam, Z)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
-            grad = (lam[:, None] * np.linalg.inv(V)[rest] * V.T[rest]).conj()
+            grad = (lam[:, None] * np.linalg.solve(Z[2:], Q[:, 2:].conj().T) * (Q @ Z).T).conj()
         else:
             t /= 2
             if t < 1e-2:

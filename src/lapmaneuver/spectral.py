@@ -23,7 +23,7 @@ from .graphs import FormationGraph, is_two_rooted
 from .motion import (ModifiedLaplacian, MotionMatrices, MotionSpec,
                      compile_motion, modified_laplacian)
 from .shapes import (TOLERANCES, LaplacianBundle, ReferenceShape, laplacian,
-                     split_spectrum, stabilize_gains, synthesize_weights)
+                     stabilize_gains, synthesize_weights)
 
 MAX_BOOSTS = 60  # gain doublings tried before a requested kappa~ is refused
 
@@ -118,8 +118,8 @@ def verify_motion_spectrum(KL_tilde: np.ndarray, motion: MotionMatrices,
 
 @dataclass(frozen=True)
 class StabilityAnalysis:
-    """Eigenbasis Q2^H W of the bound, the speed gain bound, and the full
-    spectrum of the KL they certify."""
+    """Eigenbasis Q2^H W of the bound, the speed gain bound, and the spectrum
+    of the KL they certify, its kernel pair first as two exact zeros."""
 
     T: np.ndarray
     kappa_tilde_max: float
@@ -129,36 +129,31 @@ class StabilityAnalysis:
 def stability_bound(eig: tuple[np.ndarray, np.ndarray], MBt: np.ndarray,
                     shape: ReferenceShape) -> StabilityAnalysis:
     """Sufficient upper bound on kappa~ keeping the non-kernel spectrum of
-    K L~ in the right-half plane, from the (values, vectors) pair `eig` of
-    np.linalg.eig(KL), as the gain rule returns it, and MBt = M~ B^T
-    (`MotionMatrices.MBt`); no eig of its own.
+    K L~ in the right-half plane, from the gain rule's pair (lambda, Z) of KL
+    (`shapes.nonkernel_eigenvalues`) and MBt = M~ B^T (`MotionMatrices.MBt`).
 
     KL and M~ B^T map S = span{1, p*} into S, so in the basis Q = [Q1 Q2] of
-    `ReferenceShape.plane` both are block upper triangular, and T = Q2^H W, W
-    the non-kernel eigenvectors of KL, diagonalizes the trailing block of KL:
-    T^-1 Q2^H (KL) Q2 T = J2. With Q = diag(1/Re(lambda)) the Lyapunov identity
-    Q J2 + J2^H Q = 2 I holds exactly and the bound, free of the shape's unit,
-    is 1 / ||Q T^-1 (Q2^H M~ B^T Q2) T||_2: the trailing block of the paper's
+    `ReferenceShape.plane` both are block upper triangular, and T = Z[2:] =
+    Q2^H W, W = Q Z, diagonalizes the trailing block of KL: T^-1 B22(KL) T =
+    J2. With Q = diag(1/Re(lambda)) the Lyapunov identity Q J2 + J2^H Q = 2 I
+    holds exactly and the bound, free of the shape's unit, is
+    1 / ||Q T^-1 (Q2^H M~ B^T Q2) T||_2: the trailing block of the paper's
     T^-1 M~ B^T T in its basis T = [1, p*, W].
     The eigenvectors of a cluster (eigenvalues within spectrum_rel * rho, a
     chain of such pairs merged into one) are orthonormalized; Q is constant
-    on it, so the bound is free of eig's basis.
-    Scaling K by h scales Q by 1/h and leaves T alone, so the bound of hKL is
-    h times the bound of KL.
+    on it, so the bound is free of eig's basis. Scaling K by h scales Q by
+    1/h and leaves T alone, so the bound of hKL is h times that of KL.
     """
-    ev, V = eig
-    nonkernel = split_spectrum(ev)[2:]
-    J2, W = ev[nonkernel], V[:, nonkernel]
-    close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(ev).max()
+    J2, Z = eig[0], eig[1].copy()  # the cluster QR writes in place; the pair is the caller's
+    close = np.abs(J2[:, None] - J2) <= TOLERANCES["spectrum_rel"] * np.abs(J2).max()
     while not (close == close[close.argmax(1)]).all():  # a chain: merge it into one cluster
         close = close @ close
     size, first = close.sum(1), close.argmax(1)
     for k in np.unique(size[size > 1]):  # every cluster of k eigenvectors in one QR
         c = np.flatnonzero(size == k)
         c = c[np.argsort(first[c], kind="stable")].reshape(-1, k)
-        W[:, c] = np.linalg.qr(W[:, c].transpose(1, 0, 2))[0].transpose(1, 0, 2)
-    Q2 = shape.plane[0][:, 2:]
-    T = Q2.conj().T @ W
+        Z[:, c] = np.linalg.qr(Z[:, c].transpose(1, 0, 2))[0].transpose(1, 0, 2)
+    T, Q2 = Z[2:], shape.plane[0][:, 2:]
     sv = np.linalg.svd(T, compute_uv=False)
     with np.errstate(divide="ignore"):
         cond = sv[0] / sv[-1]  # inf for a singular T
@@ -173,7 +168,7 @@ def stability_bound(eig: tuple[np.ndarray, np.ndarray], MBt: np.ndarray,
     pert = np.linalg.solve(T, Q2.conj().T @ MBt @ Q2 @ T)
     norm = np.linalg.svd(Q[:, None] * pert, compute_uv=False).max(initial=0.0)
     bound = math.inf if norm == 0 else 1.0 / norm
-    return StabilityAnalysis(T, bound, ev)
+    return StabilityAnalysis(T, bound, np.concatenate([np.zeros(2, dtype=complex), J2]))
 
 
 @dataclass(frozen=True)
@@ -274,7 +269,7 @@ def design_pipeline(g: FormationGraph, shape: ReferenceShape, spec: MotionSpec,
         weights = synthesize_weights(g, shape, seed)
         L = laplacian(weights)
         stage = "gains"
-        gains, eig = stabilize_gains(L)
+        gains, eig = stabilize_gains(L, shape)
         stage = "motion"
         motion = compile_motion(g, shape, spec)
         stage = "stability"

@@ -43,6 +43,7 @@ def test_traced_functions_and_parameters():
         assert _public_function(spectral, name)
     # the per-layer metrics read these by name; a rename would zero one
     for module, name in ((shapes, "synthesize_weights"), (shapes, "stabilize_gains"),
+                         (shapes, "nonkernel_eigenvalues"),
                          (spectral, "stability_bound"), (motion, "compile_motion"),
                          (motion, "modified_laplacian"), (scenarios, "load_scenario"),
                          (cli, "build_report"), (cli, "write_report")):
