@@ -45,10 +45,11 @@ def random_instance(n: int, seed: int):
             return g, shape
 
 
-def ring_chord(n: int, irregularity_seed: int = 3):
+def ring_chord(n: int, irregularity_seed: int = 3, jitter_seed=None):
     """Ring 1-2-...-n-1 plus a chord from every fourth node to the opposite
     one, on a regular n-gon with unit edges and a 5% irregularity drawn from
-    default_rng([irregularity_seed, n]) (seed 3 is the benchmark sweep's)."""
+    default_rng([irregularity_seed, n]) (seed 3 is the benchmark sweep's);
+    with jitter_seed, the sweep's 1e-4 jitter of that workload seed on top."""
     edges = [(k + 1, (k + 1) % n + 1) for k in range(n)]
     present = {frozenset(e) for e in edges}
     for i in range(0, n, 4):
@@ -59,6 +60,9 @@ def ring_chord(n: int, irregularity_seed: int = 3):
     rng = np.random.default_rng([irregularity_seed, n])
     pts = np.exp(2j * np.pi * np.arange(n) / n) / (2.0 * np.sin(np.pi / n))
     pts = pts + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if jitter_seed is not None:
+        rng = np.random.default_rng([jitter_seed, n])
+        pts = pts + 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return FormationGraph(n, tuple(edges)), center_shape(pts)
 
 
@@ -130,11 +134,11 @@ def motion_fields(spec, shape) -> tuple:
             (spec.kappa_r, 1j * spec.omega * p), (spec.kappa_s, spec.a * p))
 
 
-def full_eig_pair(KL: np.ndarray, shape: ReferenceShape) -> tuple:
-    """The (lambda, Z) pair of `nonkernel_eigenvalues` as np.linalg.eig of the
-    whole n x n KL gives it: the kernel pair found by sorting |lambda| and
-    dropped, the other eigenvectors in the basis Q of `ReferenceShape.plane`."""
-    ev, V = np.linalg.eig(KL)
+def full_eig_pair(ev: np.ndarray, V: np.ndarray, shape: ReferenceShape) -> tuple:
+    """The (lambda, Z) pair of `nonkernel_eigenvalues` as the np.linalg.eig
+    pair (ev, V) of the whole n x n KL gives it: the kernel pair found by
+    sorting |lambda| and dropped, the other eigenvectors in the basis Q of
+    `ReferenceShape.plane`."""
     rest = np.argsort(np.abs(ev))[2:]
     return ev[rest], shape.plane[0].conj().T @ V[:, rest]
 

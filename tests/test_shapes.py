@@ -328,11 +328,11 @@ def reference_stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> tuple:
     the full inverse eigenbasis, and the K = I trial on every L (no trace
     screen); the pair returned in the form of `nonkernel_eigenvalues`."""
     k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
-    rel, Qh = TOLERANCES["gain_margin_rel"], shape.plane[0].conj().T
+    rel = TOLERANCES["gain_margin_rel"]
     ev, V = np.linalg.eig(k[:, None] * L)
-    rest = np.argsort(np.abs(ev))[2:]
-    if ev[rest].real.min() >= rel * np.abs(ev).max():
-        return k, (ev[rest], Qh @ V[:, rest])
+    pair = full_eig_pair(ev, V, shape)
+    if pair[0].real.min() >= rel * np.abs(ev).max():
+        return k, pair
     k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
@@ -341,7 +341,7 @@ def reference_stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> tuple:
         rest = np.argsort(np.abs(ev))[2:]
         lam, rho = ev[rest], np.abs(ev).max()
         if lam.real.min() >= rel * rho:
-            return trial, (lam, Qh @ V[:, rest])
+            return trial, full_eig_pair(ev, V, shape)
         if d is None or soft_min(lam.real / rho) > soft_min(x):
             k, x, t = trial, lam.real / rho, min(1.0, 2 * t)
             grad = (lam[:, None] * np.linalg.inv(V)[rest] * V.T[rest]).conj()
@@ -356,14 +356,14 @@ def reference_stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> tuple:
                               f"(best min Re lambda / rho(KL) {x.min():.3e})")
 
 
-def _design_or_stage(g, shape, seed, rule=None):
-    """design_pipeline with the rotation, or the stage it failed at; with
-    rule, that gain rule in place of the shipped one."""
+def _design_or_stage(g, shape, seed, rule=None, spec=MotionSpec(omega=1.0, kappa_r=0.025)):
+    """design_pipeline, or the stage it failed at; with rule, that gain rule
+    in place of the shipped one."""
     with pytest.MonkeyPatch.context() as m:
         if rule is not None:
             m.setattr(spectral, "stabilize_gains", rule)
         try:
-            return design_pipeline(g, shape, MotionSpec(omega=1.0, kappa_r=0.025), seed=seed)
+            return design_pipeline(g, shape, spec, seed=seed)
         except PipelineFailed as exc:
             return exc.stage
 
@@ -379,7 +379,7 @@ def _assert_gains_match_the_reference(g, shape, seed) -> None:
         return
     assert d.boost == ref.boost
     KL1 = (d.bundle.gains / d.boost)[:, None] * d.bundle.L
-    full = stability_bound(full_eig_pair(KL1, shape), d.motion.MBt, shape)
+    full = stability_bound(full_eig_pair(*np.linalg.eig(KL1), shape), d.motion.MBt, shape)
     rel = fresh_eig_rel(KL1, full.T, shape)
     assert d.stability.kappa_tilde_max / d.boost == pytest.approx(full.kappa_tilde_max, rel=rel)
     assert np.linalg.cond(d.stability.T) == pytest.approx(np.linalg.cond(full.T), rel=rel)
@@ -394,6 +394,38 @@ def _assert_gains_match_the_reference(g, shape, seed) -> None:
 @example(_zero_diagonal_instance(), 0)
 def test_gains_match_the_reference_rule_property(instance, seed):
     _assert_gains_match_the_reference(*instance, seed)
+
+
+# the benchmark sweep's formations, designed at seed 0: n = 8-40 with its
+# rotation, spiral and translation in turn at workload seeds 0-2, and n = 48,
+# the same at every seed, rotating
+_SWEEP_MOTIONS = (MotionSpec(omega=1.0, kappa_r=0.025),
+                  MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025),
+                  MotionSpec(v_star=1.0, kappa_t=0.05))
+_SWEEP = [pytest.param(*ring_chord(n, jitter_seed=seed), _SWEEP_MOTIONS[i % 3], 0,
+                       id=f"sweep-{n}-seed{seed}")
+          for seed in range(3) for i, n in enumerate((8, 16, 24, 32, 40))]
+_SWEEP.append(pytest.param(*ring_chord(48), _SWEEP_MOTIONS[0], 0, id="sweep-48"))
+
+
+def _builtin(name):
+    sc = scenario_from_dict(builtin_scenario(name))
+    return pytest.param(sc.graph, sc.shape, sc.spec, sc.design_seed, id=name)
+
+
+@pytest.mark.parametrize("g, shape, spec, seed", [_builtin(name) for name in SCENARIO_NAMES]
+                         + _SWEEP)
+def test_designs_keep_the_reference_rules_bits(g, shape, spec, seed):
+    # on these the shipped rule takes the reference's steps: the same gains,
+    # boost and L~ bit for bit, and the bound and cond(T) within 1e-12
+    d, ref = (_design_or_stage(g, shape, seed, rule, spec)
+              for rule in (None, reference_stabilize_gains))
+    assert d.boost == ref.boost and np.array_equal(d.bundle.gains, ref.bundle.gains)
+    assert np.array_equal(d.modified.L_tilde, ref.modified.L_tilde)
+    assert d.stability.kappa_tilde_max == pytest.approx(ref.stability.kappa_tilde_max,
+                                                        rel=1e-12)
+    assert np.linalg.cond(d.stability.T) == pytest.approx(np.linalg.cond(ref.stability.T),
+                                                          rel=1e-12)
 
 
 def test_gain_rule_takes_rho_only_where_a_trial_needs_it(monkeypatch):

@@ -156,14 +156,14 @@ STATIC = {"motion": {"a": 0.0, "omega": 0.0, "kappa_r": 0.0, "kappa_s": 0.0}}
 def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     # every eig, eigvals and zgees of the pipeline and the report, gain rule
     # included, is of an (n - 2) block B22(A) = Q2^H A Q2 off the shape plane,
-    # and no block goes twice to one of them, even formed another way (equal
-    # up to rounding). B22(L) goes to one eig (the trial K = I runs on every
-    # built-in), B22 of the gain rule's K L once (it is L where K = I passes)
-    # and one bound; a boost scales that bound, so the shipped 2^k K L is
-    # never decomposed; B22(K L~) goes once to zgees without Schur vectors,
-    # which the design and the report's prediction both read, and to eig only
-    # as the gain rule's (a static design's K L~ is K L); no Schur vectors are
-    # formed anywhere
+    # and each block goes to exactly one of them, even formed another way
+    # (equal up to rounding), but for a static design's B22(K L~), which is
+    # the gain rule's B22(K L). B22(L) goes to one eig (the trial K = I runs
+    # on every built-in), B22 of the gain rule's K L once (it is L where
+    # K = I passes) and one bound; a boost scales that bound, so the shipped
+    # 2^k K L is never decomposed; B22(K L~) goes once to zgees without Schur
+    # vectors, which the design and the report's prediction both read; no
+    # Schur vectors are formed anywhere
     from lapmaneuver import spectral
     from lapmaneuver.cli import build_report
 
@@ -202,16 +202,19 @@ def test_one_decomposition_per_design_and_report(monkeypatch, name, over):
     def count(M, by=(eig, eigvals, zgees)):
         return sum(f in by and close(A, Q2.conj().T @ M @ Q2) for f, A, _ in seen)
 
-    L, static = d.bundle.L, d.motion.case == "static"
+    # a static design has boost 1 and K L~ = K L: its one block twice
+    L, static, B22 = d.bundle.L, d.motion.case == "static", d.certificate.B[2:, 2:]
     passed = np.array_equal(d.bundle.gains / d.boost, np.ones(L.shape[0]))
     assert passed == (name == "traveling_heading")
     assert all(A.shape == (L.shape[0] - 2,) * 2 for _, A, _ in seen)
     assert count(L, by=(eig,)) == 1 and count(L) == 1
-    assert count(d.KL_tilde, by=(zgees,)) == 1 and count(d.KL_tilde, by=(eig,)) == static
+    assert count(d.KL_tilde, by=(zgees,)) == 1 and count(d.KL_tilde) == 1 + static
     assert count(d.bundle.KL / d.boost, by=(eig,)) == 1
-    assert count(d.bundle.KL, by=(eig,)) == (d.boost == 1)
+    assert count(d.bundle.KL / d.boost) == 1 + static
+    assert count(d.bundle.KL) == (d.boost == 1) + static
     assert len(bounds) == 1
-    assert all(sum(g is f and close(M, A) for g, M, _ in seen) == 1 for f, A, _ in seen)
+    assert all(sum(close(M, A) for _, M, _ in seen) == 1 + (static and close(A, B22))
+               for _, A, _ in seen)
     triangles = [(A, compute_v) for f, A, compute_v in seen if f is zgees]
     assert len(triangles) == 1 and np.array_equal(triangles[0][0], d.certificate.B[2:, 2:])
     assert triangles[0][1] == 0
