@@ -26,7 +26,7 @@ from .shapes import TOLERANCES
 from .sim import Trajectory, initial_condition, shape_error
 from .spectral import DesignResult, design_pipeline, predict_steady_state
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 _CSV_BYTES = 64 * 1024  # bound on the table rows formatted per write
 
 EXIT_OK = 0
@@ -58,7 +58,11 @@ def _seed(text: str) -> int:
 def build_report(sc: Scenario, design: DesignResult,
                  traj: Trajectory | None = None) -> dict:
     bound, cert = design.stability.kappa_tilde_max, design.certificate
-    prediction = predict_steady_state(initial_condition(sc.sim, sc.shape), design)
+    prediction = None  # the prediction models -K L~ alone, without a heading term
+    if sc.sim.heading is None:
+        pred = predict_steady_state(initial_condition(sc.sim, sc.shape), design)
+        prediction = {"c1": _c(pred.c1), "c2": _c(pred.c2), "case": pred.case,
+                      "steady_velocity": _c(pred.steady_velocity)}
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": sc.name,
@@ -72,9 +76,7 @@ def build_report(sc: Scenario, design: DesignResult,
         "eigenvalues_KL_tilde": _cvec(cert.eigenvalues),
         "kappa_tilde_max": None if math.isinf(bound) else bound,
         "kappa_tilde_unbounded": math.isinf(bound),
-        "prediction": {"c1": _c(prediction.c1), "c2": _c(prediction.c2),
-                       "case": prediction.case,
-                       "steady_velocity": _c(prediction.steady_velocity)},
+        "prediction": prediction,
         "spectral_residuals": {"split_residual": cert.split_residual,
                                "motion_residual": cert.motion_residual,
                                "lyapunov_residual": cert.lyapunov_residual,

@@ -2,17 +2,18 @@
 
 Heading control adds c u to one agent's input, u a setpoint held between
 switches (u' = 0): a run is one linear system on [p; u], a step one matrix S
-formed once per run, the RK4 polynomial R(dt X) (`integrate`) or expm(dt X)
-(`exact_trajectory`, the oracle); a switch only sets u. One loop computes
-only the states kept every s = sample_stride steps, and each segment's end:
-S^f reaches the first, blocks of them built by doubling are stepped by powers
-of T = S^s, and S^r reaches the end, all products of one list of squares
-S^(2^b). Each kept state is written once, in the run's one buffer of rows
-[p; u], whose first n columns are Trajectory.states. A skipped state is at
-most G ||y||_inf, G = prod max(1, ||S^(2^b)||_inf) over 2^b < s, y a state
-computed; a segment passes if that is within divergence_threshold max|p(0)|,
-else is walked again with s = 1 in a bounded table of its own, testing every
-state: Diverged names the first bad step. `integrate` refuses an RK4-unstable dt.
+formed once per run, the RK4 polynomial R(dt X) (`integrate`, whose step map
+refuses an RK4-unstable dt before any step) or expm(dt X) (`exact_trajectory`,
+the oracle); a switch only sets u. One pass computes only the states kept every
+s = sample_stride steps, and each segment's end: S^f reaches the first, blocks
+of them built by doubling are stepped by powers of T = S^s, and S^r reaches the
+end, all products of one list of squares S^(2^b). It alone writes the kept
+states, once each, in the run's one buffer of rows [p; u], whose first n columns
+are Trajectory.states. A skipped state is at most G ||y||_inf, G = prod
+max(1, ||S^(2^b)||_inf) over 2^b < s, y a state computed; a segment passes if
+that is within divergence_threshold max|p(0)|, else it is walked again with
+s = 1 in a bounded table of its own only to test every state: Diverged names
+the first bad step, and if there is none the pass's states stand.
 """
 
 from __future__ import annotations
@@ -136,14 +137,13 @@ def integrate(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     steps never straddle two schedule segments. Raises StepUnstable before
     stepping if dt puts a decaying mode outside RK4's stability region.
     """
-    return _run(L_tilde, gains, cfg, shape, _rk4_step, _rk4_preflight)
+    return _run(L_tilde, gains, cfg, shape, _rk4_step)
 
 
 def exact_trajectory(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                      shape: ReferenceShape) -> Trajectory:
     """Exact solution on the same grid and setpoint segments as `integrate`."""
-    return _run(L_tilde, gains, cfg, shape, lambda X, dt: expm(X * dt),
-                lambda A, dt: None)
+    return _run(L_tilde, gains, cfg, shape, lambda X, dt: expm(X * dt))
 
 
 def _rk4_preflight(A: np.ndarray, dt: float) -> None:
@@ -164,7 +164,9 @@ def _rk4_preflight(A: np.ndarray, dt: float) -> None:
 
 
 def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
-    """R(dt X), the RK4 step map."""
+    """R(dt X), the RK4 step map; an unstable dt is refused first, before any
+    step, by `_rk4_preflight` on X's n x n block, the closed loop on p."""
+    _rk4_preflight(X[:-1, :-1], dt)
     Z = dt * X
     eye = np.eye(len(Z))
     return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4) / 3) / 2)
@@ -172,9 +174,10 @@ def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite states raise Diverged
 def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
-         shape: ReferenceShape, step_map, preflight) -> Trajectory:
-    """Step [p; u] by S = step_map(X, dt), one S per run, after preflight(A, dt)
-    on the n x n block A of X; each segment sets u to its setpoint."""
+         shape: ReferenceShape, step_map) -> Trajectory:
+    """Step [p; u] by S = step_map(X, dt), one S per run; each segment sets u to
+    its setpoint. The pass at the stride writes the kept states; a walk again
+    at s = 1 only finds the first bad step, else the pass's states stand."""
     n, dt, h, stride = L_tilde.shape[0], cfg.dt, cfg.heading, int(cfg.sample_stride)
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
@@ -187,7 +190,6 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
         X[h.agent - 1, h.neighbor - 1] += h.gain
         X[h.agent - 1, n] = h.gain  # the input column: c u, with u' = 0
         segments = h.segments(dt, steps)
-    preflight(X[:n, :n], dt)
     squares = [step_map(X, dt)]  # S^(2^b) for 2^b <= stride, the only squares of S formed
     while len(squares) < stride.bit_length():
         squares.append(_product(squares[-1], squares[-1]))
@@ -202,13 +204,12 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
     rows = _TABLE_BYTES // x.nbytes  # the most states in one block
     for k0, k1, u in segments:
         x = np.append(x[:n], u)  # the state at k0, holding the segment's setpoint
-        for s, P in ((stride, T), (1, squares[0])):  # P = S^s; if a test fails, walk again
+        for s, P in ((stride, T), (1, squares[0])):  # P = S^s; if the bound fails, walk again
             m = k1 // s - k0 // s  # the states on the grid of s in (k0, k1]
             f = (k0 // s + 1) * s - k0  # steps from k0 to the first of them
-            r = k1 - max(k0, k1 // s * s)  # steps from the last of them, or from k0, to k1
-            in_place = s == stride  # the grid states are kept rows; a walk again keeps some
-            table = kept[k0 // s + 1:k1 // s + 1] if in_place else \
-                np.empty((min(m, rows), n + 1), dtype=complex)
+            walk = s < stride  # the pass fills the kept rows, a walk again a scratch table
+            table = np.empty((min(m, rows), n + 1), dtype=complex) if walk else \
+                kept[k0 // s + 1:k1 // s + 1]
             if m:
                 table[0] = (P if f == s else _power(squares, f)) @ x
             L = 1  # the first block, built by doubling: T^L times its first rows go next
@@ -221,28 +222,25 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                 L, P = L + c, P2
             block = table[:L]
             for j in range(0, m, L):  # j counts the grid states before the block
-                if j:  # the block before times T^L, in its kept rows or a new table
-                    block = np.matmul(block[:m - j], P.T, out=table[j:j + L] if in_place else None)
+                if j:  # the block before times T^L, in its kept rows or a new array
+                    block = np.matmul(block[:m - j], P.T, out=None if walk else table[j:j + L])
                 if s == 1:
                     within = np.abs(block[:, :n]) <= limit  # False for NaN, inf
                     if not within.all():  # one test per block, then find the first bad step
                         raise Diverged("state norm exceeded threshold at "
                                        f"t={(k0 + j + 1 + np.argmin(within.all(1))) * dt:.3f}")
-                if not in_place:  # walked again: copy out the kept states
-                    lo, hi = k0 + j, k0 + j + len(block)  # the block holds steps lo + 1 ... hi
-                    i0, i1 = lo // stride + 1, count if hi == steps else hi // stride + 1
-                    kept[i0:i1] = block[np.minimum(np.arange(i0, i1) * stride, steps) - lo - 1]
+            if walk:
+                break  # no step is bad: the pass's kept states and its state at k1 stand
+            r = k1 - max(k0, k1 // s * s)  # steps from the last grid state, or from k0, to k1
             y = block[-1] if m else x  # the last state computed, then the state at k1
             if r:
                 y = _power(squares, r) @ y
-            if s > 1:  # a skipped state is S^i z, i < s, z = x or one since: |.| <= G sqrt(2) big
-                big = np.max([_peak(z) for z in (x, table, y)])
-                if not G * np.sqrt(2) * big <= limit:  # False for NaN
-                    continue  # walk the segment again
-            if r and k1 == steps:
-                kept[-1] = y
-            x = y
-            break
+            # a skipped state is S^i z, i < s, z = x or one since: |.| <= G sqrt(2) big
+            if s == 1 or G * np.sqrt(2) * np.max([_peak(z) for z in (x, table, y)]) <= limit:
+                break  # else (NaN included) walk the segment again
+        if r and k1 == steps:
+            kept[-1] = y
+        x = y
     times = np.arange(0, count * stride, stride, dtype=float)  # then in place: no second buffer
     times[-1] = steps
     times *= dt

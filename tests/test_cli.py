@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from lapmaneuver import (ExpansionIllConditioned, SpectrumMismatch, Trajectory,
-                         builtin_scenario, design_pipeline, laplacian, load_scenario,
-                         run_scenario)
+from lapmaneuver import (SCENARIO_NAMES, ExpansionIllConditioned, SpectrumMismatch,
+                         Trajectory, builtin_scenario, design_pipeline, initial_condition,
+                         laplacian, load_scenario, predict_steady_state, run_scenario,
+                         scenario_from_dict)
 from lapmaneuver import cli
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
@@ -27,7 +28,7 @@ def test_design_writes_report(tmp_path):
     code = main(["design", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["gain_boost"] == 1.0
     assert len(report["weights"]) == 2 * 9  # both orientations of 9 edges
     assert len(report["modified_weights"]) == len(report["weights"])
@@ -65,6 +66,21 @@ def test_report_round_trips(tmp_path):
     report = json.loads(text, parse_constant=refuse)  # strict: no NaN or Infinity
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
 
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_report_predicts_only_a_run_without_heading(name):
+    # the prediction models -K L~ alone: on traveling_heading, whose loop has
+    # the heading term too, it was 1.76 (relative) from the final state
+    sc = scenario_from_dict(builtin_scenario(name))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    prediction = cli.build_report(sc, d)["prediction"]
+    if name == "traveling_heading":
+        assert prediction is None
+    else:
+        pred = predict_steady_state(initial_condition(sc.sim, sc.shape), d)
+        assert prediction == {"c1": cli._c(pred.c1), "c2": cli._c(pred.c2), "case": pred.case,
+                              "steady_velocity": cli._c(pred.steady_velocity)}
 
 STAR = {"graph": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
         "shape": [[0, 0], [1, 0], [0, 1], [-1, 0]]}

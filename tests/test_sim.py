@@ -573,14 +573,39 @@ def test_long_run_computes_only_the_kept_states(monkeypatch):
     assert np.abs(traj.states - ref).max() <= rel * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("run", [integrate, exact_trajectory])
+@pytest.mark.parametrize("name", ["enclosing", "traveling_heading"])
+def test_kept_states_are_free_of_the_divergence_threshold(monkeypatch, name, run):
+    # at stride 10^5 the default threshold is below G sqrt(2) big on some
+    # segment, which is walked again step by step; the walk only tests its
+    # states, so the kept states are the pass's, as at the largest threshold
+    sc = scenario_from_dict(builtin_scenario(
+        name, {"sim": {"t_end": 2000.0, "sample_stride": 100_000}}))
+    d = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    outcomes = []
+    for threshold in (sc.sim.divergence_threshold, np.finfo(float).max):
+        formed, product = [], sim._product
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_product", lambda A, B: formed.append(1) or product(A, B))
+            traj = run(d.modified.L_tilde, d.bundle.gains,
+                       dataclasses.replace(sc.sim, divergence_threshold=threshold), sc.shape)
+        outcomes.append((traj, len(formed)))
+    (walked, walked_products), (passed, passed_products) = outcomes
+    assert walked_products > passed_products  # the doublings of a walk again
+    assert np.array_equal(walked.times, passed.times)
+    assert np.array_equal(walked.states, passed.states)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _matrix_power_run(L_tilde, gains, cfg, shape, step_map, preflight):
+def _matrix_power_run(L_tilde, gains, cfg, shape, step_map):
     """The sampler as it was before the squares were shared: G from its own
     squares (one past the last it reads), S^f, S^s and S^r each from
     `numpy.linalg.matrix_power`, so up to twelve products per segment at
-    stride 10. Its state is [p; u], the setpoint u set at each segment."""
+    stride 10. Its state is [p; u], the setpoint u set at each segment. The
+    pass at the stride writes the samples; a walk again at s = 1 tests each
+    state and writes none."""
     matrix_power = np.linalg.matrix_power
-    n, dt, h = L_tilde.shape[0], cfg.dt, cfg.heading
+    n, dt, h, stride = L_tilde.shape[0], cfg.dt, cfg.heading, int(cfg.sample_stride)
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
     X[:n, :n] = -gains[:, None] * L_tilde
@@ -592,47 +617,50 @@ def _matrix_power_run(L_tilde, gains, cfg, shape, step_map, preflight):
         X[h.agent - 1, h.neighbor - 1] += h.gain
         X[h.agent - 1, n] = h.gain
         segments = h.segments(dt, steps)
-    preflight(X[:n, :n], dt)
-    keep = np.append(np.arange(0, steps, cfg.sample_stride), steps)
+    S = step_map(X, dt)
+    keep = np.append(np.arange(0, steps, stride), steps)
     samples = np.empty((keep.size, n), dtype=complex)
     x = initial_condition(cfg, shape)
     samples[0] = x
     limit = cfg.divergence_threshold * np.abs(x).max()
-    S = step_map(X, dt)
+
+    def walk(x, k0, k1, s):
+        # (steps, states) of the grid of s in (k0, k1] and of k1, block by block
+        f = min((k0 // s + 1) * s, k1) - k0
+        m, r = divmod(k1 - k0 - f, s)
+        states, P = (matrix_power(S, f) @ x)[None], matrix_power(S, s)
+        while len(states) <= m and 2 * states.nbytes <= sim._TABLE_BYTES \
+                and np.isfinite(P2 := P @ P).all():
+            states = np.concatenate([states, states[:m + 1 - len(states)] @ P.T])
+            P = P2
+        for j in range(0, m + 1, len(states)):
+            if j:
+                states = states[:m + 1 - j] @ P.T
+            if r and j + len(states) > m:
+                states = np.vstack([states, matrix_power(S, r) @ states[-1]])
+            ks = np.minimum(k0 + f + s * np.arange(j, j + len(states)), k1)
+            if s == 1:
+                within = np.abs(states[:, :n]) <= limit
+                if not within.all():
+                    raise Diverged("state norm exceeded threshold at "
+                                   f"t={ks[np.argmin(within.all(1))] * dt:.3f}")
+            yield ks, states
+
     for k0, k1, setpoint in segments:
         x = np.append(x[:n], setpoint)
-        for s in (int(cfg.sample_stride), 1):
-            f = min((k0 // s + 1) * s, k1) - k0
-            m, r = divmod(k1 - k0 - f, s)
-            G, Q = 1.0, S
-            for _ in range((s - 1).bit_length()):
-                G, Q = G * np.maximum(1.0, np.abs(Q).sum(1).max()), Q @ Q
-            states, P = (matrix_power(S, f) @ x)[None], matrix_power(S, s)
-            while len(states) <= m and 2 * states.nbytes <= sim._TABLE_BYTES \
-                    and np.isfinite(P2 := P @ P).all():
-                states = np.concatenate([states, states[:m + 1 - len(states)] @ P.T])
-                P = P2
-            big = np.abs(x.view(float)).max()
-            for j in range(0, m + 1, len(states)):
-                if j:
-                    states = states[:m + 1 - j] @ P.T
-                if r and j + len(states) > m:
-                    states = np.vstack([states, matrix_power(S, r) @ states[-1]])
-                ks = np.minimum(k0 + f + s * np.arange(j, j + len(states)), k1)
-                if s > 1:
-                    big = np.abs(states.view(float)).max(initial=big)
-                    if not G * np.sqrt(2) * big <= limit:
-                        break
-                else:
-                    within = np.abs(states[:, :n]) <= limit
-                    if not within.all():
-                        raise Diverged("state norm exceeded threshold at "
-                                       f"t={ks[np.argmin(within.all(1))] * dt:.3f}")
-                i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
-                samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
-            else:
-                break
-        x = states[-1]
+        G, Q = 1.0, S
+        for _ in range((stride - 1).bit_length()):
+            G, Q = G * np.maximum(1.0, np.abs(Q).sum(1).max()), Q @ Q
+        big = np.abs(x.view(float)).max()
+        for ks, states in walk(x, k0, k1, stride):
+            big = np.abs(states.view(float)).max(initial=big)
+            i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
+            samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
+        end = states[-1]
+        if stride > 1 and not G * np.sqrt(2) * big <= limit:
+            for _ in walk(x, k0, k1, 1):
+                pass
+        x = end
     return Trajectory(keep * dt, samples)
 
 
@@ -651,7 +679,7 @@ _SAMPLER_RUNS = {
     "diverging": _growing_run}
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3, 4, 7, 10, 16])
+@pytest.mark.parametrize("stride", [1, 2, 3, 4, 7, 10, 16, 100_000])
 @pytest.mark.parametrize("name", list(_SAMPLER_RUNS))
 def test_shared_squares_keep_the_matrix_power_bits(monkeypatch, name, stride):
     # every kept state, or the Diverged / StepUnstable message, as the
