@@ -7,13 +7,12 @@ refuses an RK4-unstable dt before any step) or expm(dt X) (`exact_trajectory`,
 the oracle); a switch only sets u. One pass computes only the states kept every
 s = sample_stride steps, and each segment's end: S^f reaches the first, blocks
 of them built by doubling are stepped by powers of T = S^s, and S^r reaches the
-end, all products of one list of squares S^(2^b). It alone writes the kept
-states, once each, in the run's one buffer of rows [p; u], whose first n columns
-are Trajectory.states. A skipped state is at most G ||y||_inf, G = prod
-max(1, ||S^(2^b)||_inf) over 2^b < s, y a state computed; a segment passes if
-that is within divergence_threshold max|p(0)|, else it is walked again with
-s = 1 in a bounded table of its own only to test every state: Diverged names
-the first bad step, and if there is none the pass's states stand.
+end, all products of one list of squares S^(2^b). It writes the kept states to
+the run's one buffer of rows [p; u], whose first n columns are the Trajectory's
+states. A skipped state is at most G ||y||_inf, G = prod max(1, ||S^(2^b)||_inf)
+over 2^b < s, y a state computed; past divergence_threshold max|p(0)| a segment
+is walked again at s = 1, in a bounded table, to test each state: Diverged names
+the first bad step, else the pass's states stand, or if it overflowed the walk's.
 """
 
 from __future__ import annotations
@@ -176,8 +175,8 @@ def _rk4_step(X: np.ndarray, dt: float) -> np.ndarray:
 def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
          shape: ReferenceShape, step_map) -> Trajectory:
     """Step [p; u] by S = step_map(X, dt), one S per run; each segment sets u to
-    its setpoint. The pass at the stride writes the kept states; a walk again
-    at s = 1 only finds the first bad step, else the pass's states stand."""
+    its setpoint. The pass at the stride writes the kept states; a walk again at
+    s = 1 finds the first bad step, else only rewrites a pass that overflowed."""
     n, dt, h, stride = L_tilde.shape[0], cfg.dt, cfg.heading, int(cfg.sample_stride)
     steps = int(round(cfg.t_end / dt))
     X = np.zeros((n + 1, n + 1), dtype=complex)
@@ -229,15 +228,17 @@ def _run(L_tilde: np.ndarray, gains: np.ndarray, cfg: SimConfig,
                     if not within.all():  # one test per block, then find the first bad step
                         raise Diverged("state norm exceeded threshold at "
                                        f"t={(k0 + j + 1 + np.argmin(within.all(1))) * dt:.3f}")
+                if walk and not np.isfinite(big):  # the pass overflowed: keep the walk's states
+                    grid, y = block[-(k0 + j + 1) % stride::stride], block[-1]  # at i stride, k1
+                    kept[(k0 + j) // stride + 1:][:len(grid)] = grid
             if walk:
-                break  # no step is bad: the pass's kept states and its state at k1 stand
-            r = k1 - max(k0, k1 // s * s)  # steps from the last grid state, or from k0, to k1
+                break  # no step is bad: the pass's states and its state at k1 stand, if finite
             y = block[-1] if m else x  # the last state computed, then the state at k1
-            if r:
+            if r := k1 - max(k0, k1 // s * s):  # steps from the last grid state, or k0, to k1
                 y = _power(squares, r) @ y
             # a skipped state is S^i z, i < s, z = x or one since: |.| <= G sqrt(2) big
-            if s == 1 or G * np.sqrt(2) * np.max([_peak(z) for z in (x, table, y)]) <= limit:
-                break  # else (NaN included) walk the segment again
+            if s == 1 or G * np.sqrt(2) * (big := np.max([*map(_peak, (x, table, y))])) <= limit:
+                break  # else (NaN, inf included) walk the segment again
         if r and k1 == steps:
             kept[-1] = y
         x = y

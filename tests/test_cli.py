@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lapmaneuver import (SCENARIO_NAMES, ExpansionIllConditioned, SpectrumMismatch,
-                         Trajectory, builtin_scenario, design_pipeline, initial_condition,
-                         laplacian, load_scenario, predict_steady_state, run_scenario,
-                         scenario_from_dict)
+                         Trajectory, builtin_scenario, design_pipeline, laplacian,
+                         load_scenario, run_scenario, scenario_from_dict)
 from lapmaneuver import cli
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
@@ -67,6 +66,16 @@ def test_report_round_trips(tmp_path):
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == text
 
 
+# (c1, c2) of report.json's prediction for the built-ins without heading
+# control, as written before the heading run's prediction was dropped
+_PREDICTIONS = {
+    "enclosing": ([-0.620278018644759, -0.09630384466778949],
+                  [-1.2482574800882036, -0.9289972542250233]),
+    "shaped_consensus_inward": ([0.5113700823723699, 0.4658863113510344],
+                                [-0.24189804459809436, -0.1539791907565462]),
+    "spiral_outward": ([0.502351747068409, 0.47270300172249524],
+                       [-0.24030631689574966, -0.1618232374629422])}
+
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_report_predicts_only_a_run_without_heading(name):
@@ -78,9 +87,10 @@ def test_report_predicts_only_a_run_without_heading(name):
     if name == "traveling_heading":
         assert prediction is None
     else:
-        pred = predict_steady_state(initial_condition(sc.sim, sc.shape), d)
-        assert prediction == {"c1": cli._c(pred.c1), "c2": cli._c(pred.c2), "case": pred.case,
-                              "steady_velocity": cli._c(pred.steady_velocity)}
+        c1, c2 = _PREDICTIONS[name]
+        assert prediction == {"c1": pytest.approx(c1, rel=1e-9), "case": "moving",
+                              "c2": pytest.approx(c2, rel=1e-9), "steady_velocity": [0.0, 0.0]}
+
 
 STAR = {"graph": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]},
         "shape": [[0, 0], [1, 0], [0, 1], [-1, 0]]}
@@ -298,6 +308,16 @@ def test_divergence_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "diverged" in err
     assert "largest stable dt" in err  # refused before stepping
+
+
+def test_divergence_exit_3_names_the_first_bad_step(tmp_path, capsys):
+    # steered on the edge (4, 3), traveling_heading's loop grows: the segment
+    # that fails the skipped-state bound is walked again to its first bad step
+    path = _write(tmp_path, "traveling_heading",
+                  {"sim": {"heading_control": {"agent": 4, "neighbor": 3}}})
+    code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 3
+    assert "diverged: state norm exceeded threshold at t=131.740" in capsys.readouterr().err
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -470,18 +470,24 @@ def test_rk4_preflight_once_per_integrate(monkeypatch):
     assert len(calls) == 1 and calls[0].shape == (4, 4)
 
 
-def test_overflowing_powers_do_not_flag_a_finite_state():
-    # the growing mode is not excited; its high powers still overflow
+def _unexcited_growth_run():
+    # a mode growing at 50 that p0 does not excite: its high powers overflow
     L_tilde = -np.diag([50.0, -1.0]).astype(complex)
-    cfg = SimConfig(dt=0.01, t_end=20.0, p0=np.array([0, 1], dtype=complex),
-                    sample_stride=100)
-    shape = center_shape([1.0, -1.0])
+    cfg = SimConfig(dt=0.01, t_end=20.0, p0=np.array([0, 1], dtype=complex))
+    return L_tilde, np.ones(2, dtype=complex), cfg, center_shape([1.0, -1.0])
+
+
+def test_overflowing_powers_do_not_flag_a_finite_state():
+    # from stride 1500 the pass's S^f or S^r is inf in the growing mode, and
+    # inf * 0 puts NaN in its states: the walk again keeps its own, finite ones
+    L_tilde, gains, cfg, shape = _unexcited_growth_run()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for run in (integrate, exact_trajectory):
-            traj = run(L_tilde, np.ones(2, dtype=complex), cfg, shape)
-            assert np.all(traj.states[:, 0] == 0)
-            assert traj.states[-1, 1] == pytest.approx(np.exp(-20.0), rel=1e-6)
+        for stride in (100, 1500, 4096, 100_000):
+            for run in (integrate, exact_trajectory):
+                traj = run(L_tilde, gains, dataclasses.replace(cfg, sample_stride=stride), shape)
+                assert np.all(traj.states[:, 0] == 0)
+                assert traj.states[-1, 1] == pytest.approx(np.exp(-20.0), rel=1e-6)
 
 
 def test_later_blocks_step_by_a_finite_power():
@@ -603,7 +609,7 @@ def _matrix_power_run(L_tilde, gains, cfg, shape, step_map):
     `numpy.linalg.matrix_power`, so up to twelve products per segment at
     stride 10. Its state is [p; u], the setpoint u set at each segment. The
     pass at the stride writes the samples; a walk again at s = 1 tests each
-    state and writes none."""
+    state and writes none, unless the pass overflowed: then it writes them all."""
     matrix_power = np.linalg.matrix_power
     n, dt, h, stride = L_tilde.shape[0], cfg.dt, cfg.heading, int(cfg.sample_stride)
     steps = int(round(cfg.t_end / dt))
@@ -646,6 +652,11 @@ def _matrix_power_run(L_tilde, gains, cfg, shape, step_map):
                                    f"t={ks[np.argmin(within.all(1))] * dt:.3f}")
             yield ks, states
 
+    def write(ks, states):
+        i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
+        samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
+        return states[-1]
+
     for k0, k1, setpoint in segments:
         x = np.append(x[:n], setpoint)
         G, Q = 1.0, S
@@ -654,12 +665,11 @@ def _matrix_power_run(L_tilde, gains, cfg, shape, step_map):
         big = np.abs(x.view(float)).max()
         for ks, states in walk(x, k0, k1, stride):
             big = np.abs(states.view(float)).max(initial=big)
-            i0, i1 = np.searchsorted(keep, (ks[0] - 1, ks[-1]), side="right")
-            samples[i0:i1] = states[np.searchsorted(ks, keep[i0:i1]), :n]
-        end = states[-1]
+            end = write(ks, states)
         if stride > 1 and not G * np.sqrt(2) * big <= limit:
-            for _ in walk(x, k0, k1, 1):
-                pass
+            for ks, states in walk(x, k0, k1, 1):
+                if not np.isfinite(big):
+                    end = write(ks, states)
         x = end
     return Trajectory(keep * dt, samples)
 
@@ -676,7 +686,8 @@ _SAMPLER_RUNS = {
     "ring_chord_16": functools.partial(
         _sweep_run, 16, MotionSpec(a=1.0, omega=1.0, kappa_r=0.025, kappa_s=0.025)),
     "ring_chord_24": functools.partial(_sweep_run, 24, MotionSpec(v_star=1.0, kappa_t=0.05)),
-    "diverging": _growing_run}
+    "diverging": _growing_run,
+    "overflowing": _unexcited_growth_run}
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3, 4, 7, 10, 16, 100_000])
