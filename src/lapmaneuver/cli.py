@@ -2,9 +2,12 @@
 
 Every `--scenario` file is read once, before any work, and the files that
 parse run one after another in one process; the largest exit code wins.
+Every command takes its design from `simulate_scenario`; design and verify run
+the scenario for one step, so all three refuse the same RK4 step.
 Exit codes: 0 ok, 1 infeasible design or report, 2 parse error (a malformed file,
 a non-finite number, a bad value), an --out that is not a usable directory or an
-output path the run would write twice, 3 diverged, 4 verification failure.
+output path the run would write twice, 3 diverged (for every command, an RK4 dt
+that cannot integrate the design), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import Diverged, FormationError, PipelineFailed, ScenarioError, Spe
 from .scenarios import Scenario, load_scenario, simulate_scenario
 from .shapes import TOLERANCES
 from .sim import Trajectory, initial_condition, shape_error
-from .spectral import DesignResult, design_pipeline, predict_steady_state
+from .spectral import DesignResult, predict_steady_state
 
 SCHEMA_VERSION = 5
 _CSV_BYTES = 64 * 1024  # bound on the table rows formatted per write
@@ -110,9 +113,15 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
             f.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
+def _design(sc: Scenario) -> DesignResult:
+    """The design `simulate` runs, from `simulate_scenario` run for one step, whose
+    RK4 step map refuses a dt that cannot integrate the design (exit 3)."""
+    one_step = dataclasses.replace(sc, sim=dataclasses.replace(sc.sim, t_end=sc.sim.dt))
+    return simulate_scenario(one_step).design
+
+
 def cmd_design(sc: Scenario, report: Path) -> int:
-    design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
-    write_report(build_report(sc, design), report)
+    write_report(build_report(sc, _design(sc)), report)
     print(f"design ok: report written to {report}")
     return EXIT_OK
 
@@ -127,7 +136,7 @@ def cmd_simulate(sc: Scenario, report: Path, trajectory: Path) -> int:
 
 def cmd_verify(sc: Scenario) -> int:
     """Print the checks that certified the design `design` ships."""
-    design = design_pipeline(sc.graph, sc.shape, sc.spec, seed=sc.design_seed)
+    design = _design(sc)
     cert = design.certificate
     print(f"PASS shape-plane-split ({design.motion.case}): ||B21|| {cert.split_residual:.2e}, "
           f"B11 error {cert.motion_residual:.2e}, P > 0 with lambda_max "
@@ -170,9 +179,11 @@ def main(argv=None) -> int:
         prog="lapmaneuver",
         description="Design, verify and simulate complex-Laplacian formation maneuvers")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (("design", "run the design pipeline and write a report"),
+    for name, help_ in (("design", "design and write a report; exit 3, as simulate does, "
+                                   "if the scenario's dt cannot integrate the design"),
                         ("simulate", "design, integrate and export a trajectory"),
-                        ("verify", "run the spectral and bound checks only")):
+                        ("verify", "print the design's spectral and bound checks; exit 3, "
+                                   "as simulate does, if its dt cannot integrate the design")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--scenario", action="append", required=True,
                        help="scenario JSON file (repeatable)")

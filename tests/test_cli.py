@@ -7,9 +7,11 @@ import pytest
 from lapmaneuver import (SCENARIO_NAMES, ExpansionIllConditioned, SpectrumMismatch,
                          Trajectory, builtin_scenario, design_pipeline, laplacian,
                          load_scenario, run_scenario, scenario_from_dict)
-from lapmaneuver import cli
+from lapmaneuver import cli, scenarios
 from lapmaneuver.cli import main, write_trajectory_csv
 from lapmaneuver.shapes import TOLERANCES
+
+from conftest import ring_chord
 
 
 def _write(tmp_path, name, overrides=None, fname="scenario.json"):
@@ -151,6 +153,8 @@ MALFORMED = {
     "negative sim seed": lambda d: d["sim"].update(seed=-3),
     "name not a string": lambda d: d.update(name=["x"]),
     "all-zero initial condition": lambda d: d["sim"].update(initial_condition=[[0, 0]] * 4),
+    "initial condition of 2 points for 4 agents":
+        lambda d: d["sim"].update(initial_condition=[[1, 0], [0, 1]]),
     "zero box factor": lambda d: d["sim"].update(box_factor=0),
     "negative box factor": lambda d: d["sim"].update(box_factor=-1),
 }
@@ -308,6 +312,30 @@ def test_divergence_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "diverged" in err
     assert "largest stable dt" in err  # refused before stepping
+
+
+@pytest.mark.parametrize("method, code", [("rk4", 3), ("exact", 0)])
+def test_every_command_refuses_the_dt_simulate_refuses(tmp_path, capsys, method, code):
+    # the benchmark sweep's n = 48 rotation takes gain boost 2^9, which RK4 at
+    # dt 0.01 cannot integrate; design and verify hand over no such design
+    g, shape = ring_chord(48)
+    path = tmp_path / "ring_chord_48.json"
+    path.write_text(json.dumps({
+        "graph": {"n": g.n, "edges": g.oriented_edges},
+        "shape": [[z.real, z.imag] for z in shape.p_star],
+        "motion": {"omega": 1.0, "kappa_r": 0.025},
+        "sim": {"dt": 0.01, "t_end": 20.0, "sample_stride": 10, "method": method}}))
+    errs = []
+    for command in ("design", "verify", "simulate"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == code
+        errs.append(capsys.readouterr().err)
+    if code:
+        assert errs[0] == errs[1] == errs[2] and errs[0].count("\n") == 1
+        assert errs[0].startswith("diverged: RK4 step dt=0.01 is unstable")
+        assert errs[0].endswith("the largest stable dt is about 0.00271\n")
+        assert not (tmp_path / "design" / "report.json").exists()
+    else:
+        assert errs == ["", "", ""]
 
 
 def test_divergence_exit_3_names_the_first_bad_step(tmp_path, capsys):
@@ -580,7 +608,7 @@ def test_each_file_is_read_once_before_any_design(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(cli, "load_scenario", traced(cli.load_scenario, "load"))
-    monkeypatch.setattr(cli, "design_pipeline", traced(cli.design_pipeline, "design"))
+    monkeypatch.setattr(scenarios, "design_pipeline", traced(scenarios.design_pipeline, "design"))
     assert main(["design", "--scenario", str(a), "--scenario", str(b),
                  "--out", str(tmp_path / "o")]) == 0
     assert events == ["load", "load", "design", "design"]

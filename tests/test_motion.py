@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lapmaneuver import (FormationGraph, MotionSpec, PipelineFailed, SingularGain,
-                         compile_motion, design_pipeline, is_two_rooted,
-                         laplacian, modified_laplacian, motion_parameters,
+                         ZeroEdgeVector, center_shape, compile_motion, design_pipeline,
+                         is_two_rooted, laplacian, modified_laplacian, motion_parameters,
                          synthesize_weights)
 
 from conftest import (incidence_matrix, motion_fields, motion_matrix,
@@ -33,6 +33,14 @@ def test_agent_centered_field_zero_at_center(square):
     assert (mm.uniform_coeff, mm.shape_coeff) == (-1j * shape.p_star[2], 1j)
     assert not mm.mu_tilde[2].any()  # the center agent stands still, exactly
     assert np.allclose(mm.MBt @ shape.p_star, 1j * (shape.p_star - shape.p_star[2]))
+
+
+def test_an_agent_whose_neighbors_share_its_position_has_no_motion_parameter():
+    # agent 1 moves with the field c 1, and its only neighbor sits where it does
+    g = FormationGraph(3, ((1, 2), (2, 3)))
+    shape = center_shape([1, 1, -2])
+    with pytest.raises(ZeroEdgeVector, match="^agent 1 has no neighbor with nonzero z\\*$"):
+        compile_motion(g, shape, MotionSpec(v_star=1.0, kappa_t=1.0))
 
 
 _rates = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)  # no underflow

@@ -42,6 +42,16 @@ def test_uncentered_shape_rejected():
         ReferenceShape(np.array([1 + 0j, 2 + 0j]))
 
 
+def test_one_point_shape_rejected():
+    with pytest.raises(DegenerateShape, match="^reference shape needs at least 2 points$"):
+        ReferenceShape(np.array([0j]))
+
+
+def test_weights_refuse_a_shape_of_another_size():
+    with pytest.raises(ValueError, match="^shape size does not match graph$"):
+        synthesize_weights(square_graph(), center_shape([0, 1, 1j]), seed=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(-np.inf, 1)])
 def test_non_finite_shape_rejected(bad):
     # every comparison with NaN reads False, so the other checks let it pass

@@ -187,12 +187,19 @@ def test_divergence_is_decided_in_the_start_states_unit(run):
 
 def test_a_shape_x_1e9_simulates(tmp_path):
     # its start box is 1e9 wide, as wide as the default divergence_threshold:
-    # the limit is that times max |p(0)|, so the run is the shape's own
-    doc = builtin_scenario("enclosing", {"sim": {"t_end": 10.0}})
-    doc["shape"] = [[1e9 * x, 1e9 * y] for x, y in doc["shape"]]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    # the limit is that times max |p(0)|, so the run is the shape's own; so is
+    # traveling_heading's x 1e6 (RK4 at dt 0.01), velocity and setpoints scaled too
+    for name, s in (("enclosing", 1e9), ("traveling_heading", 1e6)):
+        doc = builtin_scenario(name, {"sim": {"t_end": 10.0}})
+        doc["shape"] = [[s * x, s * y] for x, y in doc["shape"]]
+        doc["motion"].update({k: s * v for k, v in doc["motion"].items()
+                              if k.startswith("v_star")})
+        for e in doc["sim"].get("heading_control", {}).get("schedule", []):
+            e["re"], e["im"] = s * e["re"], s * e["im"]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--scenario", str(path),
+                         "--out", str(tmp_path / name)]) == 0
 
 
 def test_deterministic_for_seed(square):
@@ -210,6 +217,24 @@ def test_initial_condition_box(square):
     p0 = initial_condition(cfg, shape)
     hw = 2.0 * shape.radius()
     assert np.abs(p0.real).max() <= hw and np.abs(p0.imag).max() <= hw
+
+
+def test_initial_condition_of_the_wrong_size_refused(square):
+    _, shape = square
+    with pytest.raises(ValueError, match="^initial condition size mismatch$"):
+        initial_condition(SimConfig(p0=np.ones(3, dtype=complex)), shape)
+
+
+def test_trajectory_times_and_states_must_agree():
+    with pytest.raises(ValueError, match="^times and states disagree in length$"):
+        Trajectory(np.zeros(3), np.ones((2, 4), dtype=complex))
+
+
+def test_measure_motion_refuses_a_window_under_3_samples(square):
+    _, shape = square
+    traj = Trajectory(np.arange(3.0), np.tile(shape.p_star, (3, 1)))
+    with pytest.raises(ValueError, match="^window too short$"):
+        measure_motion(traj, shape, slice(0, 2))
 
 
 def test_shape_error_in_space(square):
@@ -884,6 +909,7 @@ _HEADING = dict(agent=1, neighbor=2, gain=1.0, schedule=((1.0, 2 + 0j),))
     ({"gain": np.inf}, "gain"), ({"gain": np.nan}, "gain"),
     ({"schedule": ((np.nan, 2 + 0j),)}, "schedule must be finite"),
     ({"schedule": ((1.0, complex(np.inf, 0)),)}, "schedule must be finite"),
+    ({"schedule": ()}, "schedule is empty"),
     ({"agent": 0}, "count from 1"), ({"neighbor": 0}, "count from 1"),
     ({"agent": -1}, "count from 1"), ({"neighbor": 1}, "distinct")])
 def test_heading_control_refuses_bad_fields(over, match):
