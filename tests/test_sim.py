@@ -909,9 +909,9 @@ _HEADING = dict(agent=1, neighbor=2, gain=1.0, schedule=((1.0, 2 + 0j),))
     ({"gain": np.inf}, "gain"), ({"gain": np.nan}, "gain"),
     ({"schedule": ((np.nan, 2 + 0j),)}, "schedule must be finite"),
     ({"schedule": ((1.0, complex(np.inf, 0)),)}, "schedule must be finite"),
-    ({"schedule": ()}, "schedule is empty"),
     ({"agent": 0}, "count from 1"), ({"neighbor": 0}, "count from 1"),
-    ({"agent": -1}, "count from 1"), ({"neighbor": 1}, "distinct")])
+    ({"agent": -1}, "count from 1"), ({"neighbor": 1}, "distinct"),
+    ({"schedule": ()}, "schedule is empty")])
 def test_heading_control_refuses_bad_fields(over, match):
     with pytest.raises(ValueError, match=match):
         HeadingControl(**{**_HEADING, **over})
