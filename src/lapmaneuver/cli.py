@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -31,6 +32,10 @@ from .spectral import DesignResult, predict_steady_state
 
 SCHEMA_VERSION = 5
 _CSV_BYTES = 64 * 1024  # bound on the table rows formatted per write
+_KMIN, _KMAX = -293, 341  # 16 - X for the exponent X of every nonzero double, and one more
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's constant
+_TIE = 1e-9  # a product this near a rounding half goes to Python; its error is under 1e-14
+_PLACE = np.arange(21, -1, -1, dtype=np.uint8)[:, None]  # r of the mantissa's rows
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -99,18 +104,228 @@ def write_report(report: dict, path: Path) -> None:
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+@functools.cache
+def _tables() -> tuple:
+    """10^k = T·2^s for k in [_KMIN, _KMAX], T in [1, 2) as hi + lo (hi split in
+    halves hh + hl for Dekker's product), exact from Python ints; the four ASCII
+    digits of each of 0000..9999 as one uint32; and each one's trailing zeros."""
+    s = np.empty(_KMAX - _KMIN + 1, np.int32)
+    hi, lo = np.empty(s.size), np.empty(s.size)
+    for i, k in enumerate(range(_KMIN, _KMAX + 1)):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        e = num.bit_length() - den.bit_length()
+        num, den = (num, den << e) if e >= 0 else (num << -e, den)
+        if num < den:
+            num, e = num << 1, e - 1
+        h = num / den  # int / int is correctly rounded, so is lo below
+        s[i], hi[i], lo[i] = e, h, ((num << 52) - int(h * 2.0 ** 52) * den) / (den << 52)
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    g = np.arange(10000, dtype=np.int16)
+    digits = np.empty((g.size, 4), np.uint8)
+    zeros = np.zeros(g.size, np.uint8)
+    for q, d in enumerate((1000, 100, 10, 1)):
+        digits[:, q] = g // d % 10 + 48
+        zeros += g % (10000 // d) == 0
+    return s, hi, hh, hi - hh, lo, digits.view(np.uint32)[:, 0], zeros
+
+
+def _scaled(f: np.ndarray, X: np.ndarray, s: np.ndarray) -> None:
+    """f[3] + f[4] = |x|·10^(16-X) to about 106 bits, for |x| in f[0]. f[0:3], f[5:8]
+    and s (int32) are scratch."""
+    sk, hi, hh, hl, lo = _tables()[:5]
+    y, yh, yl, ph, pl, t, u = f[:7]
+    k = f[7].view(np.int64)
+    np.subtract(16 - _KMIN, X, out=k)
+    np.take(sk, k, out=s, mode="clip")
+    np.ldexp(y, s, out=y)  # exact, and y·T = |x|·10^(16-X)
+    np.multiply(y, _SPLIT, out=yl)  # Veltkamp's split y = yh + yl into 26-bit halves
+    np.subtract(yl, y, out=yh)
+    np.subtract(yl, yh, out=yh)
+    np.subtract(y, yh, out=yl)
+    np.take(hi, k, out=t, mode="clip")
+    np.multiply(y, t, out=ph)
+    np.take(lo, k, out=t, mode="clip")
+    y *= t
+    np.take(hh, k, out=t, mode="clip")
+    np.take(hl, k, out=u, mode="clip")
+    np.multiply(yh, t, out=pl)  # Dekker: y·hi - ph exactly, summed in this order
+    pl -= ph
+    yh *= u
+    pl += yh
+    t *= yl
+    pl += t
+    yl *= u
+    pl += yl
+    pl += y  # y·lo
+
+
+class _Cells:
+    """A (rows, cols) `table` as CSV rows of `'%.17g' % v` cells, byte for byte.
+
+    A cell's 17 correctly rounded digits m in [10^16, 10^17) and exponent X come
+    from |x|·10^(16-X) in double-double, X = floor(log10|x|) moved by one where the
+    product falls outside [10^16, 10^17). Python's `%.17g` formats the cells this
+    cannot certify (`slow` counts them): zero, inf, nan, and a product within _TIE
+    of a rounding half, since exact ties round half to even.
+
+    The text is built column-major, one row of `buf` per byte of a cell: the
+    sign's row, 22 rows of mantissa, e+ddd if a cell in the table needs it, and the
+    separator. The mantissa is right-aligned on its last digit: with A places after
+    the point (16 - X, or 16 in exponent notation), the byte r places left of the
+    end is a fixed row of the digits, the one before or after the point as r < A or
+    r > A. Bytes outside the text are zeroed; one transpose and one compress drop
+    them. The buffers are allocated once per shape: fresh 100 kB temporaries per
+    table cost more in page faults than the arithmetic.
+    """
+
+    def __init__(self, rows: int, cols: int):
+        n = rows * cols
+        self.rows, self.cols, self.slow = rows, cols, 0
+        self.table = np.empty((rows, cols))
+        self.f = np.empty((8, n))  # float64 scratch, also viewed as int64 and bytes
+        self.X, self.s = np.empty((2, n), np.int32)
+        self.A, self.lo, self.tz = np.empty((3, n), np.uint8)  # small counts of places
+        self.z = np.empty((29, n), np.uint8)  # digit rows, then the cells' bytes
+        self.buf = np.empty((29, n), np.uint8)
+        self.cell = np.arange(n, dtype=np.int32)
+
+    def _digits(self, x: np.ndarray) -> np.ndarray:
+        """m into int64 row 1 of f and X; the cells Python must format."""
+        f, X = self.f, self.X
+        a = f[0]
+        np.abs(x, out=a)
+        bad = ~np.isfinite(a) | (a == 0)
+        a[bad] = 1.0
+        np.log10(a, out=f[1])
+        np.floor(f[1], out=f[1])
+        np.copyto(X, f[1], casting="unsafe")
+        _scaled(f, X, self.s)
+        ph, pl = f[3], f[4]
+        off = ((ph < 1e16) | (ph == 1e16) & (pl < 0)).astype(np.int32)
+        off -= (ph > 1e17) | (ph == 1e17) & (pl >= 0)
+        j = np.flatnonzero(off)
+        if j.size:  # log10 was one off, next to a power of ten
+            X[j] -= off[j]
+            g = np.empty((8, j.size))
+            g[0] = np.abs(x[j])
+            _scaled(g, X[j], np.empty(j.size, np.int32))
+            ph[j], pl[j] = g[3], g[4]
+        i = f.view(np.int64)
+        np.floor(pl, out=f[0])
+        pl -= f[0]
+        np.subtract(pl, 0.5, out=f[2])
+        bad |= np.abs(f[2], out=f[2]) < _TIE
+        np.copyto(i[1], ph, casting="unsafe")
+        np.copyto(i[2], f[0], casting="unsafe")
+        i[1] += i[2]
+        i[1] += pl > 0.5
+        top = i[1] == 10 ** 17  # rounded up to the next power of ten
+        i[1][top] = 10 ** 16
+        X += top
+        return np.flatnonzero(bad | (i[1] < 10 ** 16))
+
+    def csv(self) -> np.ndarray:
+        """The bytes of `table`, a view valid until the next call."""
+        x, n = self.table.reshape(-1), self.cell.size
+        X, A, lo, tz = self.X, self.A, self.lo, self.tz
+        digits, zeros = _tables()[5:]
+        slow = self._digits(x)
+        i = self.f.view(np.int64)
+        m, hi8, lo8, d0, g1, g3, t = i[1:8]
+        np.floor_divide(m, 10 ** 8, out=hi8)
+        np.multiply(hi8, 10 ** 8, out=t)
+        np.subtract(m, t, out=lo8)
+        np.floor_divide(hi8, 10 ** 8, out=d0)
+        np.multiply(d0, 10 ** 8, out=t)
+        hi8 -= t
+        np.floor_divide(hi8, 10 ** 4, out=g1)
+        np.multiply(g1, 10 ** 4, out=t)
+        hi8 -= t
+        np.floor_divide(lo8, 10 ** 4, out=g3)
+        np.multiply(g3, 10 ** 4, out=t)
+        lo8 -= t
+        groups = (g1, hi8, g3, lo8)  # four groups of four digits after the first
+        Z = self.z[:23]  # '0', then row 5 + j the digit j of m, then '0'
+        Z[:5] = 48
+        Z[22] = 48
+        np.add(d0, 48, out=Z[5], casting="unsafe")
+        quads = self.f[:2].view(np.uint32).reshape(4, n)  # four ASCII digits in each
+        for q, g in zip(quads, groups):
+            np.take(digits, g, out=q, mode="clip")
+        np.copyto(Z[6:22].reshape(4, 4, n), quads.view(np.uint8).reshape(4, n, 4).swapaxes(1, 2))
+        np.take(zeros, lo8, out=tz, mode="clip")
+        j = np.flatnonzero(lo8 == 0)
+        for g in groups[2::-1]:  # trailing zeros that run into the groups before
+            tz[j] += zeros[g[j]]
+            j = j[g[j] == 0]
+        expo = (X < -4) | (X > 16)
+        np.subtract(16, X, out=A, casting="unsafe")
+        A[expo] = 16
+        np.minimum(tz, A, out=lo)
+        lo += tz >= A
+        buf, keep = self.buf, self.f[3:6].view(np.bool_).reshape(-1)[:22 * n].reshape(22, n)
+        M = buf[1:23]
+        np.subtract(Z[1:], Z[:22], out=M)
+        np.greater(_PLACE, A, out=keep)
+        M *= keep.view(np.uint8)
+        M += Z[:22]
+        at = i[1]
+        np.subtract(22, A, out=at)
+        at *= n
+        at += self.cell
+        buf.reshape(-1)[at] = 46  # the point, at r = A
+        np.greater_equal(_PLACE, lo, out=keep)
+        M *= keep.view(np.uint8)
+        np.maximum(A, 16, out=tz)
+        tz += 2  # the mantissa's length
+        np.less(_PLACE, tz, out=keep)
+        M *= keep.view(np.uint8)
+        buf[0] = 0
+        np.subtract(22, tz, out=at)
+        at *= n
+        at += self.cell
+        buf.reshape(-1)[at[np.signbit(x)]] = 45  # the sign, just before the mantissa
+        texts = [b"%.17g" % v for v in x[slow].tolist()]
+        self.slow += len(texts)
+        e = np.flatnonzero(expo)
+        # the exponent's rows only in a block that uses them
+        width = 29 if e.size or max(map(len, texts), default=0) > 23 else 24
+        buf[23:width] = 0
+        if e.size:
+            ax = np.abs(X[e])
+            buf[23, e] = 101
+            buf[24, e] = np.where(X[e] < 0, 45, 43)
+            buf[25:28, e] = digits[ax].view(np.uint8).reshape(-1, 4)[:, 1:].T
+            buf[25, e[ax < 100]] = 0
+        buf[width - 1] = 44
+        buf[width - 1, self.cols - 1::self.cols] = 10
+        for j, text in zip(slow, texts):
+            buf[:width - 1, j] = 0
+            buf[:len(text), j] = np.frombuffer(text, np.uint8)
+        cells = self.z.reshape(-1)[:n * width].reshape(n, width)
+        np.copyto(cells, buf[:width].T)
+        mask = self.f.reshape(-1).view(np.bool_)[:cells.size]
+        np.not_equal(cells.reshape(-1), 0, out=mask)
+        return cells.reshape(-1)[mask]
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Rows t, x_1, y_1, ... of `%.17g` cells, written _CSV_BYTES of rows at a time."""
     n = traj.n
     header = "t," + ",".join(f"x_{i},y_{i}" for i in range(1, n + 1))
-    row = ",".join(["%.17g"] * (2 * n + 1)) + "\n"
     rows = max(1, _CSV_BYTES // (8 * (2 * n + 1)))
-    with open(path, "w", newline="") as f:
-        f.write(header + "\n")
+    cells = None
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
         for i in range(0, traj.times.size, rows):
             xy = np.ascontiguousarray(traj.states[i:i + rows], dtype=complex).view(float)
-            table = np.column_stack([traj.times[i:i + rows], xy])
-            f.write(row * len(table) % tuple(table.ravel().tolist()))
+            if cells is None or cells.rows != len(xy):
+                cells = None  # the last, shorter block: free the buffers first
+                cells = _Cells(len(xy), 2 * n + 1)
+            cells.table[:, 0] = traj.times[i:i + rows]
+            cells.table[:, 1:] = xy
+            f.write(cells.csv())
 
 
 def _design(sc: Scenario) -> DesignResult:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapmaneuver import (SCENARIO_NAMES, ExpansionIllConditioned, SpectrumMismatch,
                          Trajectory, builtin_scenario, design_pipeline, laplacian,
@@ -573,6 +575,74 @@ def test_csv_rows_match_per_cell_writer(tmp_path):
     write_trajectory_csv(special, tmp_path / "rows.csv")
     assert (tmp_path / "rows.csv").read_text().splitlines()[1] \
         == "0,-0,1e-300,1.0000000000000001e+300,-0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), rows=st.sampled_from([(0, 1), (1, -1), (1, 1), (2, 1)]),
+       near_one=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, 2**64 - 1), max_size=32))
+def test_csv_of_any_bit_patterns_matches_per_cell_writer(tmp_path_factory, n, rows, near_one,
+                                                          seed, picks):
+    # random 64-bit patterns as float64, NaN payloads, -0, subnormals and +-inf
+    # among them, on row counts either side of a block; near_one confines the
+    # background to |x| in [2^-20, 2^60), where most cells are in fixed notation
+    blocks, extra = rows
+    rows = blocks * (cli._CSV_BYTES // (8 * (2 * n + 1))) + extra
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64 - 1, (rows, 2 * n + 1), dtype=np.uint64, endpoint=True)
+    if near_one:
+        exponent = rng.integers(1023 - 20, 1023 + 60, bits.shape).astype(np.uint64)
+        bits = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponent << np.uint64(52)
+    bits.reshape(-1)[rng.integers(0, bits.size, len(picks))] = np.array(picks, np.uint64)
+    table = bits.view(np.float64)
+    traj = Trajectory(table[:, 0].copy(), np.ascontiguousarray(table[:, 1:]).view(complex))
+    out = tmp_path_factory.mktemp("csv")
+    write_trajectory_csv(traj, out / "rows.csv")
+    _per_cell_csv(traj, out / "ref.csv")
+    assert (out / "rows.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_csv_hard_cells_match_percent_17g(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.array([5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                      1.7976931348623157e308, 1e-4, 1e17, 1e16, 0.1, 1.0, 100.0,
+                      1234567890123456.75, 1234567890123456.25, 0.5, 2.5, 0.0, np.inf, np.nan])
+    cells = np.concatenate([powers, edges])
+    with np.errstate(over="ignore"):  # the double after the largest is inf
+        cells = np.concatenate([cells, np.nextafter(cells, 0), np.nextafter(cells, np.inf)])
+    cells = np.concatenate([cells, -cells])
+    states = np.empty((cells.size, 1), complex)
+    states.real, states.imag = cells[:, None], cells[::-1, None]
+    traj = Trajectory(cells, states)
+    write_trajectory_csv(traj, tmp_path / "t.csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert lines == ["%.17g,%.17g,%.17g" % (t, z.real, z.imag)
+                     for t, z in zip(cells.tolist(), traj.states[:, 0].tolist())]
+    text = {float(c): c for line in lines for c in line.split(",")}
+    assert text[np.nextafter(1e-4, 0)] == "9.9999999999999991e-05"
+    assert text[np.nextafter(1e17, 0)] == "99999999999999984"
+    assert text[1e-4] == "0.0001" and text[1e17] == "1e+17" and text[1e16] == "10000000000000000"
+    assert text[1234567890123456.75] == "1234567890123456.8"  # a tie, half to even
+    assert text[1234567890123456.25] == "1234567890123456.2"
+
+
+def test_builtin_trajectories_rarely_reach_the_python_fallback(tmp_path, monkeypatch):
+    # a formatter that sent every cell to Python would still write the right
+    # bytes; only this count, or the benchmark, would show it
+    made = []
+
+    class Counted(cli._Cells):
+        def __init__(self, rows, cols):
+            super().__init__(rows, cols)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "_Cells", Counted)
+    for name in SCENARIO_NAMES:
+        made.clear()
+        traj = run_scenario(name).trajectory
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        slow = sum(c.slow for c in made)
+        assert 0 < slow <= 1e-3 * traj.times.size * (2 * traj.n + 1), (name, slow)
 
 
 def test_colliding_outputs_refused(tmp_path, capsys):
