@@ -5,9 +5,10 @@ parse run one after another in one process; the largest exit code wins.
 Every command takes its design from `simulate_scenario`; design and verify run
 the scenario for one step, so all three refuse the same RK4 step.
 Exit codes: 0 ok, 1 infeasible design or report, 2 parse error (a malformed file,
-a non-finite number, a bad value), an --out that is not a usable directory or an
-output path the run would write twice, 3 diverged (for every command, an RK4 dt
-that cannot integrate the design), 4 verification failure.
+a non-finite number, a bad value), an --out that is not a usable directory, an
+output path the run would write twice or an output that cannot be written,
+3 diverged (for every command, an RK4 dt that cannot integrate the design),
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -387,6 +388,10 @@ def _run_one(handler, sc: Scenario, paths: list) -> int:
     except FormationError as exc:  # raised past the pipeline, while the report is built
         print(f"failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except OSError as exc:  # an output that cannot be written
+        where = exc.filename or ", ".join(map(str, paths))
+        print(f"cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,6 @@ TOLERANCES = {
     "cond_limit": 1e8,  # cond of the bound's eigenbasis Q2^H W (absolute)
 }
 _GAIN_STEPS = 500  # ascent steps in stabilize_gains, one eig of B22(KL) each
-_TRACE_REL = 1e-6  # Re tr L below -this x ||L||_F skips the K = I trial (far above rounding)
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,7 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> tuple[np.ndarray, t
     Both sides come from the trial's own eigenvalues, so a scaling of KL, such
     as a larger reference shape makes, leaves a trial's verdict alone.
 
-    K = I is tried first, with one eig of B22(L), unless Re tr L < -_TRACE_REL
-    ||L||_F rules it out: the kernel pair adds nothing to tr L, so the
-    non-kernel eigenvalues sum to it and one has Re < 0. Otherwise start
-    from k_i = 1/l_ii (1 where l_ii = 0), a unit diagonal of KL, and ascend
+    Start from k_i = 1/l_ii (1 where l_ii = 0), a unit diagonal of KL, and ascend
     the soft-min of Re lambda_j / rho(KL) over the non-kernel spectrum in
     log-gains, mean real part removed (a uniform scaling leaves the objective
     alone). The gradient is lambda_j (Z2^-1 Q2^H)_ji (Q Z)_ij, Z2 = Z[2:], with
@@ -174,12 +170,7 @@ def stabilize_gains(L: np.ndarray, shape: ReferenceShape) -> tuple[np.ndarray, t
     StabilizationFailed after _GAIN_STEPS.
     """
     rel, (Q, _) = TOLERANCES["gain_margin_rel"], shape.plane
-    k, d, t, tau = np.ones(L.shape[0], dtype=complex), None, 1.0, 0.1
-    if not np.trace(L).real < -_TRACE_REL * np.linalg.norm(L):
-        lam, Z = nonkernel_eigenvalues(L, shape)  # K = I
-        if lam.real.min() >= rel * np.abs(lam).max():
-            return k, (lam, Z)
-    k = 1 / np.where(np.diag(L) == 0, 1, np.diag(L))
+    k, d, t, tau = 1 / np.where(np.diag(L) == 0, 1, np.diag(L)), None, 1.0, 0.1
     soft_min = lambda x: x.min() - tau * np.log(np.exp((x.min() - x) / tau).sum())
     for _ in range(_GAIN_STEPS + 1):
         trial = k if d is None else k * np.exp(t * d)

@@ -347,7 +347,7 @@ def test_divergence_exit_3_names_the_first_bad_step(tmp_path, capsys):
                   {"sim": {"heading_control": {"agent": 4, "neighbor": 3}}})
     code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
     assert code == 3
-    assert "diverged: state norm exceeded threshold at t=131.740" in capsys.readouterr().err
+    assert "diverged: state norm exceeded threshold at t=184.210" in capsys.readouterr().err
 
 
 def test_verify_passes(tmp_path, capsys):
@@ -627,8 +627,9 @@ def test_csv_hard_cells_match_percent_17g(tmp_path):
 
 
 def test_builtin_trajectories_rarely_reach_the_python_fallback(tmp_path, monkeypatch):
-    # a formatter that sent every cell to Python would still write the right
-    # bytes; only this count, or the benchmark, would show it
+    # each built-in's full trajectory.csv, as `simulate` writes it, has the
+    # per-cell writer's bytes; a formatter that sent every cell to Python
+    # would still write them, so only this count, or the benchmark, shows it
     made = []
 
     class Counted(cli._Cells):
@@ -641,6 +642,8 @@ def test_builtin_trajectories_rarely_reach_the_python_fallback(tmp_path, monkeyp
         made.clear()
         traj = run_scenario(name).trajectory
         write_trajectory_csv(traj, tmp_path / "t.csv")
+        _per_cell_csv(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
         slow = sum(c.slow for c in made)
         assert 0 < slow <= 1e-3 * traj.times.size * (2 * traj.n + 1), (name, slow)
 
@@ -663,6 +666,21 @@ def test_colliding_outputs_refused(tmp_path, capsys):
     assert code == 0
     assert {f.name for f in out.iterdir()} == {"report.json", "trajectory.csv",
                                                "b.json", "b.csv"}
+
+
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a directory where the report goes: one stderr line names it, and the
+    # file after it in the same run still writes its outputs
+    a = _write(tmp_path, "enclosing", {"output": {"report": "a.json"}}, fname="a.json")
+    b = _write(tmp_path, "spiral_outward", {"output": {"report": "b.json"}}, fname="b.json")
+    out = tmp_path / "o"
+    (out / "a.json").mkdir(parents=True)
+    code = main(["design", "--scenario", str(a), "--scenario", str(b), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"cannot write {out / 'a.json'}: ")
+    assert json.loads((out / "b.json").read_text())["scenario"] == "spiral_outward"
 
 
 def test_each_file_is_read_once_before_any_design(tmp_path, monkeypatch):

@@ -213,6 +213,22 @@ def test_traveling_tracks_heading_setpoints():
         assert abs((p[0] - p[1]) - z_ref) < 1e-6 * abs(z_ref)
 
 
+def test_traveling_heading_loop_decays_at_its_shipped_gain():
+    # no stage certifies the heading loop: steering agent a toward b with gain
+    # c, the simulated block is -(K L~ + c e_a (e_a - e_b)^T); it keeps the
+    # uniform mode's zero, and every other mode decays at least this fast
+    # (Re -0.371 at the shipped c = 4, -0.172 at c = 1)
+    sc = scenario_from_dict(builtin_scenario("traveling_heading"))
+    h, d = sc.sim.heading, run_scenario("traveling_heading", {"sim": {"t_end": 0.01}}).design
+    A = -d.bundle.gains[:, None] * d.modified.L_tilde
+    A[h.agent - 1, h.agent - 1] -= h.gain
+    A[h.agent - 1, h.neighbor - 1] += h.gain
+    ev = np.linalg.eigvals(A)
+    zero = np.argmin(np.abs(ev))
+    assert abs(ev[zero]) < 1e-12 * np.abs(ev).max()
+    assert np.delete(ev, zero).real.max() < -0.35
+
+
 def test_rk4_and_exact_agree_on_scenario():
     over = {"sim": {"t_end": 10.0, "dt": 1e-3, "sample_stride": 100}}
     rk = run_scenario("enclosing", over)
